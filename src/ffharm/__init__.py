@@ -29,8 +29,8 @@ from .spheres import (
     enumerate_sphere,
     sphere_count_closed,
     sphere_ft_closed,
-    sphere_ft_closed_by_norm,
     sphere_ft_closed_grid,
+    sphere_ft_kernel,
     sphere_ft_naive,
     sphere_ft_naive_grid,
     sphere_sizes,

@@ -70,12 +70,22 @@ def _odd_prime(text: str) -> int:
     return q
 
 
+def _dimension(text: str) -> int:
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"d must be an integer, got {text!r}")
+    if d < 2:
+        raise argparse.ArgumentTypeError(f"d must be >= 2, got {d}")
+    return d
+
+
 def _odd_prime_list(text: str) -> list[int]:
     return [_odd_prime(part) for part in text.split(",") if part.strip()]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _dimension_list(text: str) -> list[int]:
+    return [_dimension(part) for part in text.split(",") if part.strip()]
 
 
 def _vector(text: str) -> list[int]:
@@ -311,10 +321,10 @@ def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("FFHARM_THREADS")
     cap = os.cpu_count() or 1
     if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            pass
+        if env.strip().isdecimal() and int(env) >= 1:
+            cap = int(env)
+        else:
+            print(f"warning: ignoring FFHARM_THREADS={env!r}: not an integer >= 1", file=sys.stderr)
     return max(1, min(n_tasks, cap))
 
 
@@ -329,21 +339,13 @@ def cmd_restrict_scan(spec: ScanSpec) -> int:
     """Run the scan, write the CSV, print the fitted log-log slope."""
     rows: dict[int, str] = {}
     errors: dict[int, str] = {}
-    workers = _worker_count(len(spec.qs))
-    if workers == 1:
+    with ThreadPoolExecutor(max_workers=_worker_count(len(spec.qs))) as pool:
+        futures = {q: pool.submit(_scan_row, spec, q) for q in spec.qs}
         for q in spec.qs:
             try:
-                rows[q] = _scan_row(spec, q)
+                rows[q] = futures[q].result()
             except Exception as e:  # flush what we have, report the rest
                 errors[q] = f"{type(e).__name__}: {e}"
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {q: pool.submit(_scan_row, spec, q) for q in spec.qs}
-            for q in spec.qs:
-                try:
-                    rows[q] = futures[q].result()
-                except Exception as e:
-                    errors[q] = f"{type(e).__name__}: {e}"
     with open(spec.out, "w", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
         for q in spec.qs:
@@ -455,20 +457,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sphere_sub.add_parser("count")
     p_count.add_argument("--q", type=_odd_prime, required=True)
-    p_count.add_argument("--d", type=int, required=True)
+    p_count.add_argument("--d", type=_dimension, required=True)
     p_count.add_argument("--j", type=int, required=True)
     p_count.set_defaults(func=_run_sphere_count)
 
     p_ft = sphere_sub.add_parser("ft")
     p_ft.add_argument("--q", type=_odd_prime, required=True)
-    p_ft.add_argument("--d", type=int, required=True)
+    p_ft.add_argument("--d", type=_dimension, required=True)
     p_ft.add_argument("--j", type=int, required=True)
     p_ft.add_argument("--x", type=_vector, required=True, help="comma-separated coordinates")
     p_ft.set_defaults(func=_run_sphere_ft)
 
     p_vl = sphere_sub.add_parser("verify-lemma1")
     p_vl.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
-    p_vl.add_argument("--d", type=_int_list, required=True, help="comma-separated dimensions")
+    p_vl.add_argument("--d", type=_dimension_list, required=True, help="comma-separated dimensions")
     p_vl.add_argument("--tol", type=float, default=1e-6)
     p_vl.set_defaults(func=_run_verify_lemma1)
 
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("info", _run_variety_info), ("intersect", _run_variety_intersect)):
         pv = var_sub.add_parser(name)
         pv.add_argument("--q", type=_odd_prime, required=True)
-        pv.add_argument("--d", type=int, required=True)
+        pv.add_argument("--d", type=_dimension, required=True)
         pv.add_argument(
             "--variety",
             required=True,
@@ -488,33 +490,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_res = sub.add_parser("restrict", help="restriction norms, scans, region tests")
     res_sub = p_res.add_subparsers(dest="subcommand", required=True)
 
-    p_norm = res_sub.add_parser("norm")
+    # options shared by norm and scan; --q differs (one prime vs a list)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--d", type=_dimension, required=True)
+    common.add_argument("--variety", required=True)
+    common.add_argument("--p", type=_exponent, required=True, help="fraction a/b or inf")
+    common.add_argument("--r", type=_exponent, required=True, help="fraction a/b or inf")
+    common.add_argument("--method", choices=("search", "exact22", "witness"), default="search")
+    common.add_argument("--starts", type=int, default=None)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument(
+        "--sign-mode", dest="sign_mode", choices=("signed", "nonneg"), default="signed"
+    )
+
+    p_norm = res_sub.add_parser("norm", parents=[common])
     p_norm.add_argument("--q", type=_odd_prime, required=True)
-    p_norm.add_argument("--d", type=int, required=True)
-    p_norm.add_argument("--variety", required=True)
-    p_norm.add_argument("--p", type=_exponent, required=True, help="fraction a/b or inf")
-    p_norm.add_argument("--r", type=_exponent, required=True, help="fraction a/b or inf")
-    p_norm.add_argument("--method", choices=("search", "exact22", "witness"), default="search")
-    p_norm.add_argument("--starts", type=int, default=None)
-    p_norm.add_argument("--seed", type=int, default=0)
-    p_norm.add_argument("--sign-mode", dest="sign_mode", choices=("signed", "nonneg"), default="signed")
     p_norm.set_defaults(func=_run_restrict_norm)
 
-    p_scan = res_sub.add_parser("scan")
-    p_scan.add_argument("--variety", required=True)
-    p_scan.add_argument("--d", type=int, required=True)
+    p_scan = res_sub.add_parser("scan", parents=[common])
     p_scan.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
-    p_scan.add_argument("--p", type=_exponent, required=True)
-    p_scan.add_argument("--r", type=_exponent, required=True)
-    p_scan.add_argument("--method", choices=("search", "exact22", "witness"), default="search")
-    p_scan.add_argument("--starts", type=int, default=None)
-    p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--sign-mode", dest="sign_mode", choices=("signed", "nonneg"), default="signed")
     p_scan.add_argument("--out", required=True)
     p_scan.set_defaults(func=_run_restrict_scan)
 
     p_region = res_sub.add_parser("region")
-    p_region.add_argument("--d", type=int, required=True)
+    p_region.add_argument("--d", type=_dimension, required=True)
     p_region.add_argument("--p", type=_exponent, required=True)
     p_region.add_argument("--r", type=_exponent, required=True)
     p_region.set_defaults(func=_run_restrict_region)
@@ -523,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     ft_sub = p_ftm.add_subparsers(dest="subcommand", required=True)
     p_self = ft_sub.add_parser("selftest")
     p_self.add_argument("--q", type=_odd_prime, required=True)
-    p_self.add_argument("--d", type=int, required=True)
+    p_self.add_argument("--d", type=_dimension, required=True)
     p_self.add_argument("--trials", type=int, default=20)
     p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(func=_run_ft_selftest)

@@ -91,32 +91,25 @@ def ft_naive(f: GridFunction) -> GridFunction:
     return GridFunction(ctx, out, Side.DualNormalized)
 
 
-def _axis_apply(kernel: np.ndarray, cube: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(kernel, cube, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+def _axis_transform(values: np.ndarray, ctx: FieldCtx, sign: int, scale: float) -> np.ndarray:
+    """Apply the size-q kernel scale * chi(sign * m x) along each of the d axes."""
+    q = ctx.q
+    grid = np.arange(q)
+    kernel = scale * ctx.chars.chi_values[(sign * np.outer(grid, grid)) % q]
+    cube = values.reshape((q,) * ctx.d)
+    for axis in range(ctx.d):
+        cube = np.moveaxis(np.tensordot(kernel, cube, axes=(1, axis)), 0, axis)
+    return cube.ravel()
 
 
 def ft_fast(f: GridFunction) -> GridFunction:
     """Axis-separated transform; identical to ft_naive up to roundoff."""
     _require_side(f, Side.PrimalCounting)
-    ctx = f.ctx
-    q, d = ctx.q, ctx.d
-    grid = np.arange(q)
-    kernel = ctx.chars.chi_values[(-np.outer(grid, grid)) % q]
-    cube = f.values.reshape((q,) * d)
-    for axis in range(d):
-        cube = _axis_apply(kernel, cube, axis)
-    return GridFunction(ctx, cube.ravel(), Side.DualNormalized)
+    return GridFunction(f.ctx, _axis_transform(f.values, f.ctx, -1, 1.0), Side.DualNormalized)
 
 
 def ift(g: GridFunction) -> GridFunction:
     """Inverse transform: f(m) = q^{-d} sum_x chi(m.x) g(x)."""
     _require_side(g, Side.DualNormalized)
-    ctx = g.ctx
-    q, d = ctx.q, ctx.d
-    grid = np.arange(q)
-    kernel = ctx.chars.chi_values[np.outer(grid, grid) % q] / q
-    cube = g.values.reshape((q,) * d)
-    for axis in range(d):
-        cube = _axis_apply(kernel, cube, axis)
-    return GridFunction(ctx, cube.ravel(), Side.PrimalCounting)
+    values = _axis_transform(g.values, g.ctx, 1, 1.0 / g.ctx.q)
+    return GridFunction(g.ctx, values, Side.PrimalCounting)

@@ -19,6 +19,7 @@ the rational exponent gates never see floating point.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import EmptyVariety, NoConvergence, UnsupportedDimension
 from .field import FieldCtx
 from .fourier import GridFunction, Side
-from .spheres import sphere_ft_closed_by_norm, sphere_sizes
+from .spheres import sphere_ft_kernel, sphere_sizes
 from .varieties import Variety
 
 Exponent = Union[Fraction, float]  # a Fraction >= 1, or math.inf
@@ -145,62 +146,73 @@ def lift_radial(profile: RadialProfile) -> GridFunction:
     return GridFunction(ctx, profile.coeffs[ctx.grid_norms()], Side.PrimalCounting)
 
 
-def lp_norm_counting(f: GridFunction, p: Exponent) -> float:
-    """L^p norm under counting measure; max norm at p = inf."""
-    a = np.abs(f.values)
+def _weighted_norm(values: np.ndarray, weights: np.ndarray, p: Exponent) -> float:
+    """(sum_i weights_i |values_i|^p)^{1/p}; the max over positive weights at p = inf."""
+    a = np.abs(np.asarray(values))
+    weights = np.asarray(weights)
+    if weights.size == 0:
+        raise EmptyVariety("norm over an empty point set")
+    if a.shape != weights.shape:
+        raise ValueError(f"need one value per weight ({weights.size}), got shape {a.shape}")
     if p == math.inf:
-        return float(a.max()) if a.size else 0.0
+        return float(a[weights > 0].max(initial=0.0))
     pf = float(p)
     if pf < 1:
         raise ValueError("p must be >= 1")
-    return float((a**pf).sum() ** (1.0 / pf))
+    return float(((a**pf) * weights).sum() ** (1.0 / pf))
+
+
+def lp_norm_counting(f: GridFunction, p: Exponent) -> float:
+    """L^p norm under counting measure; max norm at p = inf."""
+    return _weighted_norm(f.values, np.ones(f.values.size), p)
 
 
 def lr_norm_sigma(g: np.ndarray, v: Variety, r: Exponent) -> float:
     """L^r norm of values on V under the normalized surface measure."""
-    if v.cardinality == 0:
-        raise EmptyVariety(f"variety {v.label} has no points")
-    g = np.asarray(g)
-    if g.shape != (v.cardinality,):
-        raise ValueError(f"need one value per variety point ({v.cardinality})")
-    a = np.abs(g)
-    if r == math.inf:
-        return float(a.max())
-    rf = float(r)
-    if rf < 1:
-        raise ValueError("r must be >= 1")
-    return float(((a**rf).sum() / v.cardinality) ** (1.0 / rf))
-
-
-def _weighted_pnorm(M: np.ndarray, sizes: np.ndarray, p: Exponent) -> float:
-    """Counting-measure L^p norm of the lift, via sphere sizes."""
-    a = np.abs(M)
-    if p == math.inf:
-        return float(a[sizes > 0].max()) if M.size else 0.0
-    pf = float(p)
-    return float(((a**pf) * sizes).sum() ** (1.0 / pf))
+    return _weighted_norm(g, np.ones(v.cardinality) / v.cardinality, r)
 
 
 def profile_lp_norm(profile: RadialProfile, p: Exponent) -> float:
     """Same as lp_norm_counting(lift_radial(profile), p), without the lift."""
-    return _weighted_pnorm(profile.coeffs, sphere_sizes(profile.ctx), p)
+    return _weighted_norm(profile.coeffs, sphere_sizes(profile.ctx), p)
 
 
 def radial_matrix(v: Variety) -> np.ndarray:
     """The |V| x q matrix A with A[x, j] the radius-j sphere transform at x.
 
     Restricting the transform of a radial function with profile M to V is
-    exactly the product A @ M.
+    exactly the product A @ M.  The restriction routines use the distinct
+    rows only (``_radial_classes``); this full matrix is their test oracle.
     """
     ctx = v.ctx
-    norms_v = ctx.grid_norms()[v.flat]
-    A = np.empty((v.cardinality, ctx.q), dtype=np.complex128)
-    for j in range(ctx.q):
-        A[:, j] = sphere_ft_closed_by_norm(ctx, j)[norms_v]
+    A = sphere_ft_kernel(ctx).T[ctx.grid_norms()[v.flat]]
     if v.contains_zero:
         # flat indices are sorted, so the origin is always row 0
         A[0, :] += ctx.q ** (ctx.d - 1)
     return A
+
+
+def _radial_classes(v: Variety) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of radial_matrix(v) and how many points share each.
+
+    Away from the origin row x depends only on ||x||, so the objective
+    needs one row per norm class present in V minus the origin, weighted
+    by the class size.  The origin row, when 0 is in V, comes first with
+    weight 1.
+    """
+    if v.cardinality == 0:
+        raise EmptyVariety(f"variety {v.label} has no points")
+    ctx = v.ctx
+    kernel = sphere_ft_kernel(ctx)
+    has_origin = int(v.contains_zero)
+    counts = np.bincount(ctx.grid_norms()[v.flat[has_origin:]], minlength=ctx.q)
+    present = np.nonzero(counts)[0]
+    rows = kernel[:, present].T
+    weights = counts[present].astype(np.float64)
+    if has_origin:
+        rows = np.vstack([kernel[:, 0] + ctx.q ** (ctx.d - 1), rows])
+        weights = np.concatenate([[1.0], weights])
+    return rows, weights
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +222,10 @@ def radial_matrix(v: Variety) -> np.ndarray:
 def _exact22_iterations(
     v: Variety, tol: float = 1e-10, max_iter: int = 100_000
 ) -> tuple[float, int]:
-    if v.cardinality == 0:
-        raise EmptyVariety(f"variety {v.label} has no points")
     ctx = v.ctx
-    A = radial_matrix(v)
+    rows, weights = _radial_classes(v)
     sizes = sphere_sizes(ctx).astype(np.float64)
-    B = A / math.sqrt(v.cardinality) / np.sqrt(sizes)[None, :]
+    B = rows * np.sqrt(weights / v.cardinality)[:, None] / np.sqrt(sizes)[None, :]
     H = B.conj().T @ B
     rng = np.random.default_rng(0)  # fixed generic start vector
     x = rng.standard_normal(ctx.q) + 1j * rng.standard_normal(ctx.q)
@@ -372,8 +382,6 @@ def rnorm_search(
         config = SearchConfig()
     if not pair.is_finite:
         raise ValueError("rnorm_search needs finite exponents")
-    if v.cardinality == 0:
-        raise EmptyVariety(f"variety {v.label} has no points")
     if config.sign_mode not in ("signed", "nonneg"):
         raise ValueError(f"unknown sign_mode {config.sign_mode!r}")
     if config.starts is not None and config.starts < 1:
@@ -381,7 +389,10 @@ def rnorm_search(
 
     ctx = v.ctx
     q = ctx.q
-    A = radial_matrix(v)
+    rows, weights = _radial_classes(v)
+    # scaling class rows by weight^(1/r) makes the r-th power sum over the
+    # rows equal the sum over all of V, values and gradients alike
+    A = rows * (weights ** (1.0 / float(pair.r)))[:, None]
     sizes = sphere_sizes(ctx).astype(np.float64)
     pf, rf = float(pair.p), float(pair.r)
     nonneg = config.sign_mode == "nonneg"
@@ -390,15 +401,8 @@ def rnorm_search(
     n_starts = config.starts if config.starts is not None else n_structured + 4
     rng = np.random.default_rng(config.seed)
 
-    profiles: list[np.ndarray] = []
-    for j in range(q):
-        e = np.zeros(q)
-        e[j] = 1.0
-        profiles.append(e)
-    profiles.append(np.ones(q))
-    e0 = np.zeros(q)
-    e0[0] = 1.0
-    profiles.append(e0)
+    deltas = list(np.eye(q))
+    profiles = deltas + [np.ones(q), deltas[0]]
     for _ in range(max(0, n_starts - n_structured)):
         if nonneg:
             profiles.append(rng.random(q))
@@ -440,16 +444,8 @@ def compare_sign_modes(
     flag is worth watching in scans.
     """
     base = config if config is not None else SearchConfig()
-    signed = rnorm_search(
-        v,
-        pair,
-        SearchConfig(base.starts, base.steps, base.step_size, base.seed, "signed"),
-    )
-    nonneg = rnorm_search(
-        v,
-        pair,
-        SearchConfig(base.starts, base.steps, base.step_size, base.seed, "nonneg"),
-    )
+    signed = rnorm_search(v, pair, dataclasses.replace(base, sign_mode="signed"))
+    nonneg = rnorm_search(v, pair, dataclasses.replace(base, sign_mode="nonneg"))
     return signed, nonneg, signed.estimate > nonneg.estimate + tol
 
 
@@ -460,17 +456,16 @@ def witness_lower_bound(v: Variety, pair: ExponentPair) -> float:
     (whose transform is a point mass at the origin, so it detects varieties
     containing 0: the ratio is q^{d - d/p} |V|^{-1/r} there).
     """
-    if v.cardinality == 0:
-        raise EmptyVariety(f"variety {v.label} has no points")
     ctx = v.ctx
-    A = radial_matrix(v)
+    rows, weights = _radial_classes(v)
+    sigma = weights / v.cardinality
     sizes = sphere_sizes(ctx).astype(np.float64)
     best = 0.0
     for j in range(ctx.q):
-        num = lr_norm_sigma(A[:, j], v, pair.r)
+        num = _weighted_norm(rows[:, j], sigma, pair.r)
         den = 1.0 if pair.p == math.inf else float(sizes[j]) ** (1.0 / float(pair.p))
         best = max(best, num / den)
-    num = lr_norm_sigma(A @ np.ones(ctx.q), v, pair.r)
+    num = _weighted_norm(rows @ np.ones(ctx.q), sigma, pair.r)
     den = 1.0 if pair.p == math.inf else float(ctx.size) ** (1.0 / float(pair.p))
     return max(best, num / den)
 
@@ -571,24 +566,23 @@ def suf1_diagnostic(
     With ``normalize_p`` set, the profile is first scaled to unit L^p norm
     of its lift (the normalization under which the diagnostic is read).
     """
-    if v.cardinality == 0:
-        raise EmptyVariety(f"variety {v.label} has no points")
     if r == math.inf:
         raise ValueError("diagnostic needs finite r")
     ctx = v.ctx
-    M = profile.coeffs.copy()
+    M = profile.coeffs
     if normalize_p is not None:
-        n = _weighted_pnorm(M, sphere_sizes(ctx), normalize_p)
+        n = profile_lp_norm(profile, normalize_p)
         if n > 0:
             M = M / n
-    A = radial_matrix(v)
+    rows, weights = _radial_classes(v)
     if v.contains_zero:
-        A = A[1:]
+        rows, weights = rows[1:], weights[1:]
     rf = float(r)
     scale = float(ctx.q ** (ctx.d - 1))
-    L = float((np.abs(A @ M) ** rf).sum() / scale)
-    R = float((np.abs(A[:, 0] * M[0]) ** rf).sum() / scale)
+
+    def power_sum(values: np.ndarray) -> float:
+        return float((weights * np.abs(values) ** rf).sum() / scale)
+
     M_rest = M.copy()
     M_rest[0] = 0
-    Mterm = float((np.abs(A @ M_rest) ** rf).sum() / scale)
-    return L, R, Mterm
+    return power_sum(rows @ M), power_sum(rows[:, 0] * M[0]), power_sum(rows @ M_rest)

@@ -44,10 +44,6 @@ class Sphere:
     def points(self) -> np.ndarray:
         return self.ctx.grid_points()[self.flat]
 
-    def is_zero_vector(self, x: Sequence[int]) -> bool:
-        """Predicate for the x = (0, ..., 0) point of the dual grid."""
-        return all(int(c) % self.ctx.q == 0 for c in x)
-
     def __repr__(self) -> str:
         return f"Sphere(q={self.ctx.q}, d={self.ctx.d}, j={self.j}, n={self.cardinality})"
 
@@ -116,18 +112,28 @@ def sphere_ft_closed(ctx: FieldCtx, j: int, x: Sequence[int]) -> complex:
     return value
 
 
-def sphere_ft_closed_by_norm(ctx: FieldCtx, j: int) -> np.ndarray:
-    """Non-delta closed-form values as a length-q table indexed by ||x||.
+def sphere_ft_kernel(ctx: FieldCtx) -> np.ndarray:
+    """The q x q table K[j, t] of the non-delta closed form at ||x|| = t.
 
     Away from the origin the closed form depends on x only through its
-    quadratic norm, which is what makes grid-wide evaluation O(q^2).
+    quadratic norm.  Writing the Kloosterman (or, for odd d, Salie) sum as
+    a sum over s in F_q^* of chi(-j s) chi(-t s^{-1} / 4) turns the whole
+    table into one matrix product; ``_closed_tail`` is its scalar oracle.
     """
-    return np.array([_closed_tail(ctx, j % ctx.q, t) for t in range(ctx.q)])
+    q = ctx.q
+    s = np.arange(1, q)
+    j_part = ctx.chars.chi_values[(-np.outer(np.arange(q), s)) % q]
+    if ctx.d % 2 == 1:
+        j_part = j_part * ctx.chars.eta_values[s]
+    quarter = (-inv(ctx, 4 % q) * ctx.inv_table[1:]) % q
+    t_part = ctx.chars.chi_values[np.outer(quarter, np.arange(q)) % q]
+    G = expsums.gauss(ctx, 1).value
+    return (G**ctx.d / q) * (j_part @ t_part)
 
 
 def sphere_ft_closed_grid(ctx: FieldCtx, j: int) -> np.ndarray:
     """Closed-form transform at every dual point, lex order."""
-    out = sphere_ft_closed_by_norm(ctx, j)[ctx.grid_norms()]
+    out = sphere_ft_kernel(ctx)[j % ctx.q][ctx.grid_norms()]
     out[0] += ctx.q ** (ctx.d - 1)  # flat index 0 is the origin
     return out
 

@@ -347,7 +347,11 @@ def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:
         elif name == "plane":
             label, expr = "plane", plane_expr(ctx.d)
         elif name.startswith("sphere:"):
-            t = int(name.split(":", 1)[1]) % ctx.q
+            radius = name.split(":", 1)[1]
+            try:
+                t = int(radius) % ctx.q
+            except ValueError:
+                raise ParseError(f"sphere radius must be an integer, got {radius!r}", 7)
             label, expr = f"sphere({t})", sphere_expr(ctx.d, t)
         elif name.startswith("poly:"):
             src = spec.strip()[5:]

@@ -1,11 +1,19 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
 import ffharm.expsums
 from ffharm import ExponentPair, FieldCtx, SearchConfig, SumValue, build_variety, rnorm_search
-from ffharm.cli import ScanSpec, cmd_restrict_scan, cmd_sum, cmd_verify_lemma1, main
+from ffharm.cli import (
+    ScanSpec,
+    _worker_count,
+    cmd_restrict_scan,
+    cmd_sum,
+    cmd_verify_lemma1,
+    main,
+)
 
 
 def test_sum_kloosterman_output(capsys):
@@ -178,3 +186,36 @@ def test_scan_spec_rejects_bad_q():
 def test_cmd_sum_direct():
     assert cmd_sum("gauss", 7, 3) == 0
     assert cmd_sum("salie", 7, 2, 5) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sphere", "count", "--q", "5", "--d", "1", "--j", "0"],
+        ["ft", "selftest", "--q", "5", "--d", "1"],
+        ["sphere", "verify-lemma1", "--q", "3", "--d", "2,1"],
+        ["restrict", "norm", "--q", "5", "--d", "x", "--variety", "plane", "--p", "2", "--r", "2"],
+    ],
+)
+def test_bad_dimension_exits_2(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_non_integer_sphere_radius_exits_2(capsys):
+    assert main(["variety", "info", "--q", "5", "--d", "3", "--variety", "sphere:x"]) == 2
+    assert "sphere radius" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_invalid_thread_count_warns(monkeypatch, capsys, value):
+    monkeypatch.setenv("FFHARM_THREADS", value)
+    assert _worker_count(3) == min(3, os.cpu_count() or 1)
+    assert f"FFHARM_THREADS={value!r}" in capsys.readouterr().err
+
+
+def test_valid_thread_count_is_silent(monkeypatch, capsys):
+    monkeypatch.setenv("FFHARM_THREADS", "2")
+    assert _worker_count(5) == 2
+    assert capsys.readouterr().err == ""

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffharm import (
     EmptyVariety,
@@ -29,6 +31,7 @@ from ffharm import (
     witness_lower_bound,
     zero_sphere_intersection,
 )
+from ffharm.restriction import _radial_classes, _weighted_norm
 
 F = Fraction
 
@@ -169,6 +172,45 @@ def test_restriction_of_lift_equals_matrix_product():
     full = ft_fast(lift_radial(prof)).values[v.flat]
     via_matrix = radial_matrix(v) @ prof.coeffs
     assert np.abs(full - via_matrix).max() < 1e-9
+
+
+# with and without the origin; sphere:0 at q = 3, d = 2 is the origin alone
+_VARIETIES = [
+    (3, 2, "sphere:0"),
+    (3, 2, "plane"),
+    (5, 2, "sphere:1"),
+    (5, 3, "paraboloid"),
+    (7, 3, "sphere:2"),
+    (5, 3, "poly:x1*x2-1"),
+    (5, 4, "plane"),
+]
+_exponents = st.fractions(min_value=1, max_value=6, max_denominator=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_VARIETIES), _exponents, st.integers(0, 2**32 - 1))
+def test_class_weighted_objective_matches_radial_matrix(case, r, seed):
+    q, d, name = case
+    v = build_variety(FieldCtx(q, d), name)
+    rows, weights = _radial_classes(v)
+    assert weights.sum() == v.cardinality
+    off_origin = v.flat[int(v.contains_zero):]
+    assert len(rows) == len(np.unique(v.ctx.grid_norms()[off_origin])) + v.contains_zero
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    full = lr_norm_sigma(radial_matrix(v) @ M, v, r)
+    classes = _weighted_norm(rows @ M, weights / v.cardinality, r)
+    assert abs(classes - full) <= 1e-9 * max(full, 1e-300)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_VARIETIES), _exponents, _exponents, st.integers(0, 1000))
+def test_search_dominates_witness_bound(case, p, r, seed):
+    q, d, name = case
+    v = build_variety(FieldCtx(q, d), name)
+    pair = ExponentPair(p, r)
+    rep = rnorm_search(v, pair, SearchConfig(seed=seed))
+    assert rep.estimate >= witness_lower_bound(v, pair) - 1e-9
 
 
 # ---------------------------------------------------------------------------

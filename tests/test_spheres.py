@@ -11,11 +11,13 @@ from ffharm import (
     sphere_count_closed,
     sphere_ft_closed,
     sphere_ft_closed_grid,
+    sphere_ft_kernel,
     sphere_ft_naive,
     sphere_ft_naive_grid,
     sphere_sizes,
     verify_closed_form,
 )
+from ffharm.spheres import _closed_tail
 
 
 def test_enumeration_examples():
@@ -131,3 +133,14 @@ def test_completed_square_identity(q):
             lhs = chi[(s * m * m - x * m) % q].sum()
             rhs = chi[(-x * x * inv4s) % q] * ctx.chars.eta(s) * G1
             assert abs(lhs - rhs) < 1e-9
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kernel_matches_scalar_closed_tail(q, d):
+    # even d is the Kloosterman branch, odd d the Salie branch
+    ctx = FieldCtx(q, d)
+    K = sphere_ft_kernel(ctx)
+    assert K.shape == (q, q)
+    oracle = np.array([[_closed_tail(ctx, j, t) for t in range(q)] for j in range(q)])
+    assert np.abs(K - oracle).max() < 1e-9 * max(1.0, float(np.abs(oracle).max()))
