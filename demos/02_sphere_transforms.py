@@ -19,13 +19,13 @@ from ffharm import (
 )
 
 print("=" * 72)
-print("Cardinalities: enumeration vs closed form at x = 0")
+print("Cardinalities: convolution of squares vs closed form at x = 0")
 print("=" * 72)
 for q, d in [(3, 2), (5, 3), (7, 4)]:
     ctx = FieldCtx(q, d)
     sizes = sphere_sizes(ctx)
     closed = [sphere_count_closed(ctx, j) for j in range(q)]
-    print(f"q={q} d={d}: enumerated {list(sizes)}")
+    print(f"q={q} d={d}: convolved  {list(sizes)}")
     print(f"        closed     {closed}   (q^(d-1) = {q ** (d - 1)})")
 
 print()

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooLarge, ZeroInverse
 
-# Hard cap on the number of grid points any full enumeration may touch.
+# Hard cap on q^d for anything that touches every point of F_q^d: the
+# (q^d, d) point table, the q^d norm table, and the q^d polynomial values
+# and zero mask that build_variety broadcasts to.
 GRID_BUDGET = 10**8
 
 
@@ -90,7 +92,8 @@ class FieldCtx:
     def __hash__(self) -> int:
         return hash((self.q, self.d))
 
-    def _check_budget(self) -> None:
+    def check_budget(self) -> None:
+        """Raise TooLarge when q^d exceeds GRID_BUDGET."""
         if self.size > GRID_BUDGET:
             raise TooLarge(
                 f"q^d = {self.size} exceeds the enumeration budget {GRID_BUDGET}"
@@ -104,7 +107,7 @@ class FieldCtx:
         significant digit.
         """
         if self._norms is None:
-            self._check_budget()
+            self.check_budget()
             sq = (np.arange(self.q, dtype=np.int64) ** 2) % self.q
             norms = np.zeros(1, dtype=np.int64)
             for _ in range(self.d):
@@ -116,7 +119,7 @@ class FieldCtx:
     def grid_points(self) -> np.ndarray:
         """All points of F_q^d as a (q^d, d) int array in lex order."""
         if self._points is None:
-            self._check_budget()
+            self.check_budget()
             idx = np.arange(self.size, dtype=np.int64)
             pts = np.empty((self.size, self.d), dtype=np.int64)
             for k in range(self.d - 1, -1, -1):

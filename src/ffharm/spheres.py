@@ -56,8 +56,20 @@ def enumerate_sphere(ctx: FieldCtx, j: int) -> Sphere:
 
 
 def sphere_sizes(ctx: FieldCtx) -> np.ndarray:
-    """Cardinalities (|S_j|)_{j in F_q} from one pass over the grid."""
-    return np.bincount(ctx.grid_norms(), minlength=ctx.q)
+    """Cardinalities (|S_j|)_{j in F_q}, exactly, without the grid.
+
+    |S_j| counts d-tuples of squares summing to j, so the sizes are the
+    d-fold cyclic convolution of the histogram of m^2 mod q (O(d q^2)).
+    ``enumerate_sphere`` and ``sphere_count_closed`` are its oracles.
+    """
+    q = ctx.q
+    squares = np.bincount(np.arange(q, dtype=np.int64) ** 2 % q, minlength=q)
+    sizes = np.zeros(q, dtype=np.int64)
+    sizes[0] = 1
+    for _ in range(ctx.d):
+        # np.roll(sizes, s)[t] = sizes[t - s]
+        sizes = sum(int(w) * np.roll(sizes, s) for s, w in enumerate(squares) if w)
+    return sizes
 
 
 def sphere_ft_naive(sphere: Sphere, x: Sequence[int]) -> complex:

@@ -2,7 +2,10 @@
 
 Built-ins (paraboloid, plane, sphere of a given radius) and arbitrary
 user polynomials over variables x1..xd share a single code path: evaluate
-the defining polynomial at every grid point and keep the zero set.
+the defining polynomial by broadcasting over the d coordinate axes, so
+each variable is a length-q axis and no (q^d, d) point grid is built, and
+keep the lex flat indices of the zeros.  Point coordinates and norms are
+recovered from those indices for the points of V only.
 
 Polynomial grammar (whitespace-insensitive ASCII):
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -29,11 +33,9 @@ from .errors import (
     EmptyVarietyWarning,
     NegativeExponent,
     ParseError,
-    TooLarge,
     UnknownVariable,
 )
-from .field import FieldCtx, GRID_BUDGET
-from .spheres import enumerate_sphere
+from .field import FieldCtx
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +255,41 @@ def _pow_mod_vec(base: np.ndarray, k: int, q: int) -> np.ndarray:
     return out
 
 
+def _eval_axes(expr: PolyExpr, axes, q: int) -> np.ndarray:
+    """Evaluate with ``axes[k]`` holding the values of x_{k+1}.
+
+    The axes only need to broadcast against each other: the columns of an
+    (n, d) point array, or the open mesh of ``np.ix_``, where each node's
+    result has full extent only along the axes of the variables it uses.
+    A constant comes back as a scalar; callers broadcast the result.
+    """
+    if isinstance(expr, Lit):
+        return np.int64(expr.value % q)
+    if isinstance(expr, Var):
+        return axes[expr.index - 1] % q
+    if isinstance(expr, Pow):
+        return _pow_mod_vec(_eval_axes(expr.base, axes, q), expr.exponent, q)
+    if isinstance(expr, Neg):
+        out = -_eval_axes(expr.operand, axes, q)
+    elif isinstance(expr, (Add, Sub, Mul)):
+        left = _eval_axes(expr.left, axes, q)
+        right = _eval_axes(expr.right, axes, q)
+        if isinstance(expr, Add):
+            out = left + right
+        elif isinstance(expr, Sub):
+            out = left - right
+        else:
+            out = left * right
+    else:
+        raise TypeError(f"not a PolyExpr node: {expr!r}")
+    # out is a fresh array (or scalar), so reducing in place halves the peak
+    out %= q
+    return out
+
+
 def eval_poly_grid(expr: PolyExpr, pts: np.ndarray, q: int) -> np.ndarray:
     """Vectorized evaluation over an (n, d) array of points."""
-    if isinstance(expr, Lit):
-        return np.full(pts.shape[0], expr.value % q, dtype=np.int64)
-    if isinstance(expr, Var):
-        return pts[:, expr.index - 1] % q
-    if isinstance(expr, Neg):
-        return (-eval_poly_grid(expr.operand, pts, q)) % q
-    if isinstance(expr, Add):
-        return (eval_poly_grid(expr.left, pts, q) + eval_poly_grid(expr.right, pts, q)) % q
-    if isinstance(expr, Sub):
-        return (eval_poly_grid(expr.left, pts, q) - eval_poly_grid(expr.right, pts, q)) % q
-    if isinstance(expr, Mul):
-        return (eval_poly_grid(expr.left, pts, q) * eval_poly_grid(expr.right, pts, q)) % q
-    if isinstance(expr, Pow):
-        return _pow_mod_vec(eval_poly_grid(expr.base, pts, q), expr.exponent, q)
-    raise TypeError(f"not a PolyExpr node: {expr!r}")
+    return np.broadcast_to(_eval_axes(expr, pts.T, q), pts.shape[:1]).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +332,22 @@ class Variety:
         self.flat = flat
         self.cardinality = int(flat.size)
 
+    def _coords(self) -> tuple[np.ndarray, ...]:
+        return np.unravel_index(self.flat, (self.ctx.q,) * self.ctx.d)
+
     @property
     def points(self) -> np.ndarray:
-        return self.ctx.grid_points()[self.flat]
+        """The (|V|, d) coordinates, lex order."""
+        return np.stack(self._coords(), axis=1)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """``||x|| = x_1^2 + ... + x_d^2 mod q`` for each point of V, lex order."""
+        q = self.ctx.q
+        squares = np.arange(q, dtype=np.int64) ** 2 % q
+        norms = sum(squares[c] for c in self._coords()) % q
+        norms.setflags(write=False)
+        return norms
 
     @property
     def size_ok(self) -> bool:
@@ -338,8 +371,7 @@ def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:
     Accepted names: ``"paraboloid"``, ``"plane"``, ``"sphere:<t>"``, or
     ``"poly:<source>"``; a bare :data:`PolyExpr` is used directly.
     """
-    if ctx.size > GRID_BUDGET:
-        raise TooLarge(f"q^d = {ctx.size} exceeds the enumeration budget")
+    ctx.check_budget()
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name == "paraboloid":
@@ -360,8 +392,10 @@ def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:
             label, expr = f"poly({spec.strip()})", parse_poly(spec, ctx.d)
     else:
         label, expr = f"poly({pretty_print(spec)})", spec
-    values = eval_poly_grid(expr, ctx.grid_points(), ctx.q)
-    flat = np.nonzero(values == 0)[0]
+    # C order of the (q,)*d mesh is the lex order of flat indices
+    axes = np.ix_(*[np.arange(ctx.q, dtype=np.int64)] * ctx.d)
+    zero = _eval_axes(expr, axes, ctx.q) == 0
+    flat = np.flatnonzero(np.broadcast_to(zero, (ctx.q,) * ctx.d))
     if flat.size == 0:
         warnings.warn(f"variety {label} is empty", EmptyVarietyWarning, stacklevel=2)
     return Variety(ctx, label, expr, flat)
@@ -380,7 +414,6 @@ def zero_sphere_intersection(v: Variety) -> IntersectionReport:
     hypothesis; scans across q reveal whether it persists.
     """
     ctx = v.ctx
-    s0 = enumerate_sphere(ctx, 0)
-    count = int(np.intersect1d(v.flat, s0.flat, assume_unique=True).size)
+    count = int(np.count_nonzero(v.norms == 0))
     threshold = float(ctx.q ** ((ctx.d**2 - ctx.d - 1) / ctx.d))
     return IntersectionReport(count, threshold, count <= threshold)

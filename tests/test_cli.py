@@ -8,6 +8,7 @@ import ffharm.expsums
 from ffharm import ExponentPair, FieldCtx, SearchConfig, SumValue, build_variety, rnorm_search
 from ffharm.cli import (
     ScanSpec,
+    _scan_row,
     _worker_count,
     cmd_restrict_scan,
     cmd_sum,
@@ -219,3 +220,25 @@ def test_valid_thread_count_is_silent(monkeypatch, capsys):
     monkeypatch.setenv("FFHARM_THREADS", "2")
     assert _worker_count(5) == 2
     assert capsys.readouterr().err == ""
+
+
+def _no_grid(ctx):
+    raise AssertionError(f"full grid of {ctx} built on the restriction path")
+
+
+@pytest.mark.parametrize(
+    "variety,d",
+    [("paraboloid", 3), ("paraboloid", 4), ("poly:x1^2-x2*x3", 3), ("poly:x1^2+x2^2-x3*x4", 4)],
+)
+@pytest.mark.parametrize(
+    "method,p", [("exact22", "2"), ("search", "3/2"), ("witness", "3/2")]
+)
+@pytest.mark.parametrize("q", [3, 7])
+def test_restriction_path_never_builds_the_grid(monkeypatch, capsys, variety, d, method, p, q):
+    monkeypatch.setattr(FieldCtx, "grid_points", _no_grid)
+    monkeypatch.setattr(FieldCtx, "grid_norms", _no_grid)
+    spec = ScanSpec(variety, d, [q], ExponentPair(Fraction(p), Fraction(2)), method=method)
+    assert _scan_row(spec, q).startswith(f"{q},{d},")
+    for sub in ("info", "intersect"):
+        main(["variety", sub, "--q", str(q), "--d", str(d), "--variety", variety])
+    assert "|V cap S_0|=" in capsys.readouterr().out

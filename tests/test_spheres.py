@@ -95,6 +95,16 @@ def test_cardinality_near_hypersurface_size(q, d):
     assert (sizes <= 2 * hyp).all()
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_sphere_sizes_match_enumeration_and_closed_form(q, d):
+    ctx = FieldCtx(q, d)
+    sizes = sphere_sizes(ctx)
+    assert sizes.dtype == np.int64
+    assert np.array_equal(sizes, np.bincount(ctx.grid_norms(), minlength=q))
+    assert sizes.tolist() == [sphere_count_closed(ctx, j) for j in range(q)]
+
+
 @pytest.mark.parametrize("q,d", [(3, 3), (3, 4), (5, 3), (5, 4)])
 def test_decay_bounds(q, d):
     ctx = FieldCtx(q, d)

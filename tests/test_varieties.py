@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffharm import (
@@ -8,6 +10,7 @@ from ffharm import (
     FieldCtx,
     NegativeExponent,
     ParseError,
+    TooLarge,
     UnknownVariable,
     build_variety,
     enumerate_sphere,
@@ -103,6 +106,41 @@ def test_grid_eval_matches_scalar_eval(expr):
     vec = eval_poly_grid(expr, pts, q)
     for row, val in zip(pts, vec):
         assert eval_poly(expr, row, q) == val
+
+
+@st.composite
+def _poly_on_grid(draw):
+    q = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.integers(min_value=2, max_value=4))
+    leaf = st.one_of(
+        st.integers(min_value=0, max_value=12).map(Lit),
+        st.integers(min_value=1, max_value=d).map(Var),
+    )
+    return q, d, draw(st.recursive(leaf, _extend, max_leaves=10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_on_grid())
+@example((3, 2, Lit(0)))
+@example((5, 3, Lit(1)))
+@example((7, 4, Sub(Var(1), Var(3))))
+@example((5, 4, Sub(Pow(Var(2), 0), Lit(1))))
+@example((7, 4, Neg(Neg(Sub(Mul(Var(4), Var(1)), Neg(Lit(3)))))))
+def test_broadcast_build_matches_point_grid(case):
+    q, d, expr = case
+    ctx = FieldCtx(q, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyVarietyWarning)
+        v = build_variety(ctx, expr)
+    pts = ctx.grid_points()
+    assert np.array_equal(v.flat, np.nonzero(eval_poly_grid(expr, pts, q) == 0)[0])
+    assert np.array_equal(v.points, pts[v.flat])
+    assert np.array_equal(v.norms, ctx.grid_norms()[v.flat])
+
+
+def test_build_budget_guard():
+    with pytest.raises(TooLarge):
+        build_variety(FieldCtx(101, 5), "paraboloid")
 
 
 def test_builtin_cardinalities():
