@@ -12,7 +12,6 @@ from .errors import (
     EmptyVarietyWarning,
     FFHarmError,
     NegativeExponent,
-    NoConvergence,
     ParseError,
     RoundingMismatch,
     SideMismatch,

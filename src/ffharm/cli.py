@@ -27,10 +27,10 @@ from .restriction import (
     ExponentPair,
     RestrictionReport,
     SearchConfig,
-    _exact22_iterations,
     parse_exponent,
     region_conjecture,
     region_lewko,
+    rnorm_exact_22,
     rnorm_search,
     suf2_check,
     witness_lower_bound,
@@ -236,9 +236,9 @@ def _report_for(v, pair, method, starts, seed, sign_mode) -> RestrictionReport:
     if method == "exact22":
         if not (pair.p == 2 and pair.r == 2):
             raise ValueError("method exact22 requires --p 2 --r 2")
-        sigma, iters = _exact22_iterations(v)
+        sigma = rnorm_exact_22(v)
         return RestrictionReport(
-            v.label, v.ctx.q, v.ctx.d, pair, "Exact22", sigma, iters, seed
+            v.label, v.ctx.q, v.ctx.d, pair, "Exact22", sigma, 0, seed
         )
     if method == "witness":
         value = witness_lower_bound(v, pair)

@@ -33,10 +33,6 @@ class EmptyVariety(FFHarmError):
     """Operation requires a nonempty variety."""
 
 
-class NoConvergence(FFHarmError):
-    """Iterative solver exhausted its iteration budget."""
-
-
 class UnsupportedDimension(FFHarmError):
     """Dimension outside the range the operation is defined for."""
 

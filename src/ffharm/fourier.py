@@ -17,7 +17,8 @@ import numpy as np
 from .field import FieldCtx
 from .errors import SideMismatch
 
-_CHUNK = 1 << 12
+# entries of the m.x table that character_sums holds at once
+NAIVE_BUDGET = 1 << 22
 
 
 class Side(enum.Enum):
@@ -73,22 +74,33 @@ def _require_side(f: GridFunction, side: Side) -> None:
         raise SideMismatch(f"expected {side.name}, got {f.side.name}")
 
 
+def character_sums(ctx: FieldCtx, m: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Brute force: sum_i weights_i chi(-m_i . x) at every x, lex order.
+
+    ``m`` is an (n, d) array of frequencies.  The x rows go in chunks of
+    max(1, NAIVE_BUDGET // n), so memory stays bounded for any n.  Both
+    brute-force oracles, ``ft_naive`` and ``sphere_ft_naive_grid``, are
+    this loop.
+    """
+    pts = ctx.grid_points()
+    chi = ctx.chars.chi_values
+    mT = np.asarray(m).T
+    chunk = max(1, NAIVE_BUDGET // len(m))
+    out = np.empty(ctx.size, dtype=np.complex128)
+    for lo in range(0, ctx.size, chunk):
+        out[lo : lo + chunk] = chi[(-(pts[lo : lo + chunk] @ mT)) % ctx.q] @ weights
+    return out
+
+
 def ft_naive(f: GridFunction) -> GridFunction:
     """Transform by the definition: out(x) = sum_m chi(-m.x) f(m).
 
-    The kernel rows are materialized in chunks, so this stays exact but
-    O(q^{2d}); it is the reference the fast path is tested against.
+    Exact but O(q^{2d}) (``character_sums`` over every m of the grid); it
+    is the reference the fast path is tested against.
     """
     _require_side(f, Side.PrimalCounting)
-    ctx = f.ctx
-    pts = ctx.grid_points()
-    chi = ctx.chars.chi_values
-    out = np.empty(ctx.size, dtype=np.complex128)
-    for lo in range(0, ctx.size, _CHUNK):
-        hi = min(lo + _CHUNK, ctx.size)
-        dots = (pts[lo:hi] @ pts.T) % ctx.q
-        out[lo:hi] = chi[(-dots) % ctx.q] @ f.values
-    return GridFunction(ctx, out, Side.DualNormalized)
+    out = character_sums(f.ctx, f.ctx.grid_points(), f.values)
+    return GridFunction(f.ctx, out, Side.DualNormalized)
 
 
 def _axis_transform(values: np.ndarray, ctx: FieldCtx, sign: int, scale: float) -> np.ndarray:

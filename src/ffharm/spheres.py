@@ -21,10 +21,7 @@ import numpy as np
 from . import expsums
 from .errors import DimensionMismatch, RoundingMismatch
 from .field import FieldCtx, inv, norm_form
-
-# x-chunk size for the brute-force transform; bounds peak memory at
-# roughly CHUNK * |sphere| int64 entries.
-_CHUNK = 1 << 14
+from .fourier import character_sums
 
 
 class Sphere:
@@ -86,17 +83,8 @@ def sphere_ft_naive(sphere: Sphere, x: Sequence[int]) -> complex:
 
 
 def sphere_ft_naive_grid(sphere: Sphere) -> np.ndarray:
-    """Brute-force transform at every dual point, lex order, chunked."""
-    ctx = sphere.ctx
-    pts = ctx.grid_points()
-    sph = sphere.points
-    chi = ctx.chars.chi_values
-    out = np.empty(ctx.size, dtype=np.complex128)
-    for lo in range(0, ctx.size, _CHUNK):
-        hi = min(lo + _CHUNK, ctx.size)
-        dots = (pts[lo:hi] @ sph.T) % ctx.q
-        out[lo:hi] = chi[(-dots) % ctx.q].sum(axis=1)
-    return out
+    """Brute-force transform at every dual point, lex order."""
+    return character_sums(sphere.ctx, sphere.points, np.ones(sphere.cardinality))
 
 
 def _closed_tail(ctx: FieldCtx, j: int, t: int) -> complex:

@@ -10,7 +10,9 @@ from ffharm import (
     ft_fast,
     ft_naive,
     ift,
+    sphere_ft_naive_grid,
 )
+from ffharm import fourier
 
 
 def rel_err(a, b):
@@ -117,3 +119,16 @@ def test_values_are_immutable_and_copied():
     assert f.values[0] == 1.0
     with pytest.raises(ValueError):
         f.values[0] = 0.0
+
+
+def test_oracles_independent_of_chunk_budget(monkeypatch):
+    ctx = FieldCtx(5, 3)
+    rng = np.random.default_rng(3)
+    f = GridFunction(ctx, rng.standard_normal(ctx.size), Side.PrimalCounting)
+    spheres = [enumerate_sphere(ctx, j) for j in range(ctx.q)]
+    default = [ft_naive(f).values] + [sphere_ft_naive_grid(s) for s in spheres]
+    # below one row: every chunk holds a single x
+    monkeypatch.setattr(fourier, "NAIVE_BUDGET", 1)
+    small = [ft_naive(f).values] + [sphere_ft_naive_grid(s) for s in spheres]
+    for a, b in zip(small, default):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)

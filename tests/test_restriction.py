@@ -226,10 +226,18 @@ def test_exact22_single_point_variety():
     assert abs(rnorm_exact_22(v) - expected) < 1e-9
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("name", ["paraboloid", "plane", "sphere:1"])
-def test_exact22_matches_dense_factorization(q, d, name):
+# the last three have nearly equal top eigenvalues, which slows any
+# iterative solver; the eigensolve must still agree within 1e-8
+_EXACT22_CASES = [
+    (name, d, q)
+    for name in ("paraboloid", "plane", "sphere:1")
+    for d in (2, 3)
+    for q in (3, 5, 7)
+] + [("sphere:0", 2, 41), ("sphere:0", 3, 41), ("poly:x1^3+x2^3-1", 3, 61)]
+
+
+@pytest.mark.parametrize("name,d,q", _EXACT22_CASES)
+def test_exact22_matches_dense_factorization(name, d, q):
     ctx = FieldCtx(q, d)
     v = build_variety(ctx, name)
     A = radial_matrix(v)
