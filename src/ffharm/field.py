@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooLarge, ZeroInverse
 
-# Hard cap on q^d for anything that touches every point of F_q^d: the
-# (q^d, d) point table, the q^d norm table, and the q^d polynomial values
-# and zero mask that build_variety broadcasts to.
+# Hard cap on the number of points any one enumeration touches: each block
+# of variables build_variety enumerates (q^|block| values and norms), and
+# any full grid that is materialized (the (q^d, d) point table, the q^d
+# norm table, the polynomial values and zero mask behind Variety.flat).
 GRID_BUDGET = 10**8
 
 
@@ -92,11 +93,12 @@ class FieldCtx:
     def __hash__(self) -> int:
         return hash((self.q, self.d))
 
-    def check_budget(self) -> None:
-        """Raise TooLarge when q^d exceeds GRID_BUDGET."""
-        if self.size > GRID_BUDGET:
+    def check_budget(self, dims: int | None = None) -> None:
+        """Raise TooLarge when q^dims points (default: all of F_q^d) exceed GRID_BUDGET."""
+        dims = self.d if dims is None else dims
+        if self.q**dims > GRID_BUDGET:
             raise TooLarge(
-                f"q^d = {self.size} exceeds the enumeration budget {GRID_BUDGET}"
+                f"q^{dims} = {self.q**dims} exceeds the enumeration budget {GRID_BUDGET}"
             )
 
     def grid_norms(self) -> np.ndarray:
@@ -136,6 +138,23 @@ class FieldCtx:
         for c in m:
             idx = idx * self.q + (int(c) % self.q)
         return idx
+
+
+def cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact cyclic convolution of two integer tables of one shape (q, ..., q).
+
+    ``out[u] = sum_v a[v] b[u - v]`` with every index taken mod q.  The
+    denser table is shifted once per nonzero entry of the sparser one, in
+    integer arithmetic only, so the result is exact while its entries stay
+    below 2^63.
+    """
+    if np.count_nonzero(a) < np.count_nonzero(b):
+        a, b = b, a
+    axes = tuple(range(a.ndim))
+    out = np.zeros_like(a)
+    for shift in zip(*np.nonzero(b)):
+        out += b[shift] * np.roll(a, shift, axis=axes)
+    return out
 
 
 def inv(ctx: FieldCtx, a: int) -> int:

@@ -205,7 +205,8 @@ def _radial_classes(v: Variety) -> tuple[np.ndarray, np.ndarray]:
     ctx = v.ctx
     kernel = sphere_ft_kernel(ctx)
     has_origin = int(v.contains_zero)
-    counts = np.bincount(v.norms[has_origin:], minlength=ctx.q)
+    counts = v.radius_counts.copy()
+    counts[0] -= has_origin  # the origin is on S_0
     present = np.nonzero(counts)[0]
     rows = kernel[:, present].T
     weights = counts[present].astype(np.float64)

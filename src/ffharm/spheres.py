@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expsums
 from .errors import DimensionMismatch, RoundingMismatch
-from .field import FieldCtx, inv, norm_form
+from .field import FieldCtx, cyclic_convolve, inv, norm_form
 from .fourier import character_sums
 
 
@@ -61,11 +61,9 @@ def sphere_sizes(ctx: FieldCtx) -> np.ndarray:
     """
     q = ctx.q
     squares = np.bincount(np.arange(q, dtype=np.int64) ** 2 % q, minlength=q)
-    sizes = np.zeros(q, dtype=np.int64)
-    sizes[0] = 1
-    for _ in range(ctx.d):
-        # np.roll(sizes, s)[t] = sizes[t - s]
-        sizes = sum(int(w) * np.roll(sizes, s) for s, w in enumerate(squares) if w)
+    sizes = squares
+    for _ in range(ctx.d - 1):
+        sizes = cyclic_convolve(sizes, squares)
     return sizes
 
 

@@ -1,11 +1,20 @@
 """Algebraic varieties in the dual grid, defined by one polynomial equation.
 
 Built-ins (paraboloid, plane, sphere of a given radius) and arbitrary
-user polynomials over variables x1..xd share a single code path: evaluate
-the defining polynomial by broadcasting over the d coordinate axes, so
-each variable is a length-q axis and no (q^d, d) point grid is built, and
-keep the lex flat indices of the zeros.  Point coordinates and norms are
-recovered from those indices for the points of V only.
+user polynomials over variables x1..xd share a single code path, which
+counts V by sphere radius without enumerating F_q^d.  The top-level
+additive terms of P split its variables into blocks (variables that share
+a term share a block), so P = sum_B f_B(x_B) + c.  Each block is
+enumerated on its own, q^|B| points, into a q x q table of (f_B, block
+norm) pairs; the exact int64 cyclic convolution of the tables on
+Z_q x Z_q is the joint histogram of (P - c, ||x||), and its row where
+P = 0 holds |V cap S_t| for every radius t.  A separable P such as the
+paraboloid costs O(d q^3) integer operations; one block of all d
+variables costs one evaluation on the grid.
+
+The points of V themselves (lex flat indices, coordinates, norms) come
+from evaluating P by broadcasting over the d coordinate axes, on demand
+and within GRID_BUDGET; they are the test oracle of the counts.
 
 Polynomial grammar (whitespace-insensitive ASCII):
 
@@ -33,9 +42,10 @@ from .errors import (
     EmptyVarietyWarning,
     NegativeExponent,
     ParseError,
+    TooLarge,
     UnknownVariable,
 )
-from .field import FieldCtx
+from .field import FieldCtx, cyclic_convolve
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +328,50 @@ def sphere_expr(d: int, t: int) -> PolyExpr:
 
 
 class Variety:
-    """A hypersurface in the dual grid: zero set of one polynomial.
+    """A hypersurface in the dual grid: zero set of one polynomial P.
+
+    The restriction routines see V only through ``radius_counts`` (the
+    int64 counts ``|V cap S_t|`` for t in F_q), ``cardinality`` and
+    ``contains_zero``, which :func:`build_variety` computes without
+    enumerating F_q^d.  ``flat``, ``points`` and ``norms`` enumerate V by
+    evaluating P on the whole grid the first time they are read, within
+    ``GRID_BUDGET``; they are the oracle of the counts.
 
     ``size_ok`` is the working hypothesis that the variety behaves like a
     hypersurface, quantified as |V| within a factor 4 of q^{d-1}.  We never
     refuse to compute on a variety that violates it; reports carry the flag.
     """
 
-    def __init__(self, ctx: FieldCtx, label: str, expr: PolyExpr, flat: np.ndarray):
+    def __init__(self, ctx: FieldCtx, label: str, expr: PolyExpr, radius_counts: np.ndarray):
         self.ctx = ctx
         self.label = label
         self.expr = expr
-        self.flat = flat
-        self.cardinality = int(flat.size)
+        radius_counts.setflags(write=False)
+        self.radius_counts = radius_counts
+        self.cardinality = int(radius_counts.sum())
+        self.contains_zero = eval_poly(expr, (0,) * ctx.d, ctx.q) == 0
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Lex flat indices of the points of V, from P on the whole grid."""
+        ctx = self.ctx
+        ctx.check_budget()
+        # C order of the (q,)*d mesh is the lex order of flat indices
+        axes = np.ix_(*[np.arange(ctx.q, dtype=np.int64)] * ctx.d)
+        zero = _eval_axes(self.expr, axes, ctx.q) == 0
+        flat = np.flatnonzero(np.broadcast_to(zero, (ctx.q,) * ctx.d))
+        flat.setflags(write=False)
+        return flat
 
     def _coords(self) -> tuple[np.ndarray, ...]:
         return np.unravel_index(self.flat, (self.ctx.q,) * self.ctx.d)
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
         """The (|V|, d) coordinates, lex order."""
-        return np.stack(self._coords(), axis=1)
+        points = np.stack(self._coords(), axis=1)
+        points.setflags(write=False)
+        return points
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -354,10 +387,6 @@ class Variety:
         hyp = self.ctx.q ** (self.ctx.d - 1)
         return hyp / 4 <= self.cardinality <= 4 * hyp
 
-    @property
-    def contains_zero(self) -> bool:
-        return self.cardinality > 0 and int(self.flat[0]) == 0
-
     def __repr__(self) -> str:
         return (
             f"Variety({self.label!r}, q={self.ctx.q}, d={self.ctx.d}, "
@@ -365,13 +394,104 @@ class Variety:
         )
 
 
+def _signed_terms(expr: PolyExpr, sign: int = 1):
+    """The top-level additive terms of expr, each with its sign (+1 or -1)."""
+    if isinstance(expr, (Add, Sub)):
+        yield from _signed_terms(expr.left, sign)
+        yield from _signed_terms(expr.right, -sign if isinstance(expr, Sub) else sign)
+    elif isinstance(expr, Neg):
+        yield from _signed_terms(expr.operand, -sign)
+    else:
+        yield sign, expr
+
+
+def _variables(expr: PolyExpr) -> frozenset[int]:
+    """The 0-based axes of the variables expr uses."""
+    if isinstance(expr, Var):
+        return frozenset([expr.index - 1])
+    if isinstance(expr, Lit):
+        return frozenset()
+    if isinstance(expr, Neg):
+        return _variables(expr.operand)
+    if isinstance(expr, Pow):
+        return _variables(expr.base)
+    return _variables(expr.left) | _variables(expr.right)
+
+
+def _blocks(expr: PolyExpr, d: int):
+    """Split P into variable blocks: P = sum over blocks of f_B(x_B) + c.
+
+    Variables that share a top-level additive term share a block.  Returns
+    the blocks as (axes, signed terms) pairs, an unused variable being a
+    block with no terms (f = 0), and the signed constant terms making up c.
+    """
+    blocks: list[tuple[frozenset[int], list]] = [(frozenset([k]), []) for k in range(d)]
+    constants = []
+    for sign, term in _signed_terms(expr):
+        used = _variables(term)
+        if not used:
+            constants.append((sign, term))
+            continue
+        joined_axes, joined_terms, rest = used, [(sign, term)], []
+        for axes, terms in blocks:
+            if axes & used:
+                joined_axes |= axes
+                joined_terms += terms
+            else:
+                rest.append((axes, terms))
+        blocks = rest + [(joined_axes, joined_terms)]
+    return blocks, constants
+
+
+def _block_table(ctx: FieldCtx, axes: frozenset[int], terms) -> np.ndarray:
+    """The q x q table F[a, t] = #{y in F_q^axes : f(y) = a, ||y|| = t}.
+
+    f is the sum of the signed terms, evaluated by ``_eval_axes`` on the
+    open mesh of the block's axes, so the cost is q^|axes| points.
+    """
+    q, n = ctx.q, len(axes)
+    ctx.check_budget(n)
+    mesh = np.ix_(*[np.arange(q, dtype=np.int64)] * n)
+    coords: list = [None] * ctx.d
+    for k, axis in zip(sorted(axes), mesh):
+        coords[k] = axis
+    value = sum(sign * _eval_axes(term, coords, q) for sign, term in terms) % q
+    squares = np.arange(q, dtype=np.int64) ** 2 % q
+    norm = sum(squares[axis] for axis in mesh) % q
+    pairs = np.broadcast_to(value, (q,) * n) * q + norm
+    return np.bincount(pairs.ravel(), minlength=q * q).reshape(q, q)
+
+
+def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
+    """``|V cap S_t|`` for every t, by convolving the block tables.
+
+    The joint histogram H[a, t] = #{x : P(x) - c = a, ||x|| = t} is the
+    cyclic convolution on Z_q x Z_q of the block tables, and V is its row
+    a = -c.  Its entries sum to q^d, so int64 counts stay exact.
+    """
+    q = ctx.q
+    blocks, constants = _blocks(expr, ctx.d)
+    tables = sorted(
+        (_block_table(ctx, axes, terms) for axes, terms in blocks), key=np.count_nonzero
+    )
+    joint = tables.pop()
+    for table in tables:
+        joint = cyclic_convolve(joint, table)
+    c = sum(sign * eval_poly(term, (), q) for sign, term in constants)
+    return joint[-c % q].copy()
+
+
 def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:
     """Build a variety from a name or a polynomial.
 
     Accepted names: ``"paraboloid"``, ``"plane"``, ``"sphere:<t>"``, or
-    ``"poly:<source>"``; a bare :data:`PolyExpr` is used directly.
+    ``"poly:<source>"``; a bare :data:`PolyExpr` is used directly.  Counts
+    come from the polynomial's variable blocks, so only each block is
+    enumerated; a block over ``GRID_BUDGET`` points, or q^d >= 2^63 (past
+    exact int64 counts), raises TooLarge.
     """
-    ctx.check_budget()
+    if ctx.size >= 2**63:
+        raise TooLarge(f"q^d = {ctx.size} points cannot be counted exactly in int64")
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name == "paraboloid":
@@ -392,13 +512,10 @@ def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:
             label, expr = f"poly({spec.strip()})", parse_poly(spec, ctx.d)
     else:
         label, expr = f"poly({pretty_print(spec)})", spec
-    # C order of the (q,)*d mesh is the lex order of flat indices
-    axes = np.ix_(*[np.arange(ctx.q, dtype=np.int64)] * ctx.d)
-    zero = _eval_axes(expr, axes, ctx.q) == 0
-    flat = np.flatnonzero(np.broadcast_to(zero, (ctx.q,) * ctx.d))
-    if flat.size == 0:
+    v = Variety(ctx, label, expr, _radius_counts(ctx, expr))
+    if v.cardinality == 0:
         warnings.warn(f"variety {label} is empty", EmptyVarietyWarning, stacklevel=2)
-    return Variety(ctx, label, expr, flat)
+    return v
 
 
 class IntersectionReport(NamedTuple):
@@ -414,6 +531,6 @@ def zero_sphere_intersection(v: Variety) -> IntersectionReport:
     hypothesis; scans across q reveal whether it persists.
     """
     ctx = v.ctx
-    count = int(np.count_nonzero(v.norms == 0))
+    count = int(v.radius_counts[0])
     threshold = float(ctx.q ** ((ctx.d**2 - ctx.d - 1) / ctx.d))
     return IntersectionReport(count, threshold, count <= threshold)

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 import ffharm.expsums
-from ffharm import ExponentPair, FieldCtx, SearchConfig, SumValue, build_variety, rnorm_search
+from ffharm import (
+    ExponentPair,
+    FieldCtx,
+    SearchConfig,
+    SumValue,
+    Variety,
+    build_variety,
+    rnorm_search,
+)
 from ffharm.cli import (
     ScanSpec,
     _scan_row,
@@ -222,8 +230,8 @@ def test_valid_thread_count_is_silent(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _no_grid(ctx):
-    raise AssertionError(f"full grid of {ctx} built on the restriction path")
+def _no_grid(owner):
+    raise AssertionError(f"full grid of {owner} built on the restriction path")
 
 
 @pytest.mark.parametrize(
@@ -237,8 +245,22 @@ def _no_grid(ctx):
 def test_restriction_path_never_builds_the_grid(monkeypatch, capsys, variety, d, method, p, q):
     monkeypatch.setattr(FieldCtx, "grid_points", _no_grid)
     monkeypatch.setattr(FieldCtx, "grid_norms", _no_grid)
+    monkeypatch.setattr(Variety, "flat", property(_no_grid))
     spec = ScanSpec(variety, d, [q], ExponentPair(Fraction(p), Fraction(2)), method=method)
     assert _scan_row(spec, q).startswith(f"{q},{d},")
     for sub in ("info", "intersect"):
         main(["variety", sub, "--q", str(q), "--d", str(d), "--variety", variety])
     assert "|V cap S_0|=" in capsys.readouterr().out
+
+
+def test_variety_info_past_the_grid_budget(capsys):
+    assert main(["variety", "info", "--q", "211", "--d", "4", "--variety", "paraboloid"]) == 0
+    assert "|V|=9393931 " in capsys.readouterr().out
+
+
+def test_block_over_budget_exits_2(capsys):
+    argv = ["variety", "info", "--q", "101", "--d", "5", "--variety", "poly:x1*x2*x3*x4*x5-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the enumeration budget" in err
+    assert "Traceback" not in err

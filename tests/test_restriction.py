@@ -213,6 +213,30 @@ def test_search_dominates_witness_bound(case, p, r, seed):
     assert rep.estimate >= witness_lower_bound(v, pair) - 1e-9
 
 
+_EDGE_VARIETIES = ["paraboloid", "sphere:0", "sphere:1", "plane"]
+
+
+@pytest.mark.parametrize("name", _EDGE_VARIETIES)
+@pytest.mark.parametrize("r", [F(1), F(3, 2), F(2)])
+def test_search_at_p1_equals_witness(name, r):
+    # at p = 1 the ratio is largest at an extreme point of the unit ball of
+    # radial profiles, a normalized single sphere: one of the witnesses
+    v = build_variety(FieldCtx(7, 3), name)
+    pair = ExponentPair(F(1), r)
+    witness = witness_lower_bound(v, pair)
+    assert abs(rnorm_search(v, pair).estimate - witness) <= 1e-9 * witness
+
+
+@pytest.mark.parametrize("name", _EDGE_VARIETIES)
+@pytest.mark.parametrize("p", [F(2), F(4)])
+def test_search_at_r1_is_finite_and_above_witness(name, p):
+    v = build_variety(FieldCtx(7, 3), name)
+    pair = ExponentPair(p, F(1))
+    estimate = rnorm_search(v, pair).estimate
+    assert math.isfinite(estimate)
+    assert estimate >= witness_lower_bound(v, pair) - 1e-9
+
+
 # ---------------------------------------------------------------------------
 # exact 2->2 norm
 

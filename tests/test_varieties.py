@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -17,8 +18,10 @@ from ffharm import (
     eval_poly,
     parse_poly,
     pretty_print,
+    rnorm_exact_22,
     zero_sphere_intersection,
 )
+from ffharm.field import GRID_BUDGET
 from ffharm.varieties import Add, Lit, Mul, Neg, Pow, Sub, Var, eval_poly_grid
 
 
@@ -139,8 +142,48 @@ def test_broadcast_build_matches_point_grid(case):
 
 
 def test_build_budget_guard():
+    # counting enumerates one variable at a time, so only the oracle is over budget
+    v = build_variety(FieldCtx(101, 5), "paraboloid")
+    assert v.cardinality == 101**4
     with pytest.raises(TooLarge):
-        build_variety(FieldCtx(101, 5), "paraboloid")
+        v.flat
+    # one block of all five variables is enumerated whole
+    with pytest.raises(TooLarge):
+        build_variety(FieldCtx(101, 5), "poly:x1*x2*x3*x4*x5-1")
+    # q^d >= 2^63 is refused before anything is allocated
+    with pytest.raises(TooLarge):
+        build_variety(FieldCtx(1009, 7), "paraboloid")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_on_grid())
+@example((3, 2, Lit(0)))
+@example((5, 3, Lit(1)))
+@example((5, 3, Sub(Lit(4), Pow(Lit(2), 2))))
+@example((7, 4, Sub(Var(1), Var(3))))
+@example((5, 4, Sub(Pow(Var(2), 0), Lit(1))))
+@example((7, 4, Neg(Neg(Sub(Mul(Var(4), Var(1)), Neg(Lit(3)))))))
+@example((7, 3, parse_poly("(x1+x2)^2-x3", 3)))
+@example((7, 4, parse_poly("x1^2+x2^2-x3*x4", 4)))
+@example((7, 3, parse_poly("x1*x2*x3-1", 3)))
+def test_radius_counts_match_enumeration(case):
+    q, d, expr = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyVarietyWarning)
+        v = build_variety(FieldCtx(q, d), expr)
+    assert np.array_equal(v.radius_counts, np.bincount(v.norms, minlength=q))
+    assert v.cardinality == v.flat.size
+    assert v.contains_zero == (v.flat.size > 0 and v.flat[0] == 0)
+
+
+@pytest.mark.parametrize("name", ["paraboloid", "poly:x1^2+x2^2-x3*x4"])
+def test_counts_past_the_grid_budget(name):
+    ctx = FieldCtx(211, 4)
+    assert ctx.size > GRID_BUDGET
+    v = build_variety(ctx, name)
+    if name == "paraboloid":
+        assert v.cardinality == 211**3
+    assert math.isfinite(rnorm_exact_22(v))
 
 
 def test_builtin_cardinalities():
