@@ -2,18 +2,15 @@
 restriction norms, scans with CSV output, and the Fourier self-test.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-errors.  Scans parallelize over q with a thread pool capped by the
-FFHARM_THREADS environment variable; per-q work is sequential and seeded,
-so output is byte-identical for identical spec and seed.
+errors.  Scans run their primes one after another on the calling thread,
+each row seeded, so output is byte-identical for identical spec and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -229,13 +226,22 @@ def _run_variety_intersect(args) -> int:
 # restrict
 
 
+def _check_request(pair: ExponentPair, method: str, starts: Optional[int]) -> None:
+    """Reject an exponent pair or start count the method cannot run."""
+    if method == "exact22" and not (pair.p == 2 and pair.r == 2):
+        raise ValueError("method exact22 requires --p 2 --r 2")
+    if method == "search":
+        if not pair.is_finite:
+            raise ValueError("method search needs finite --p and --r")
+        if starts is not None and starts < 1:
+            raise ValueError("--starts must be >= 1")
+
+
 def _report_for(v, pair, method, starts, seed, sign_mode) -> RestrictionReport:
     if method == "search":
         config = SearchConfig(starts=starts, seed=seed, sign_mode=sign_mode)
         return rnorm_search(v, pair, config)
     if method == "exact22":
-        if not (pair.p == 2 and pair.r == 2):
-            raise ValueError("method exact22 requires --p 2 --r 2")
         sigma = rnorm_exact_22(v)
         return RestrictionReport(
             v.label, v.ctx.q, v.ctx.d, pair, "Exact22", sigma, 0, seed
@@ -249,13 +255,13 @@ def _report_for(v, pair, method, starts, seed, sign_mode) -> RestrictionReport:
 
 
 def _run_restrict_norm(args) -> int:
-    ctx = FieldCtx(args.q, args.d)
-    v = build_variety(ctx, args.variety)
     pair = ExponentPair(args.p, args.r)
     try:
-        rep = _report_for(v, pair, args.method, args.starts, args.seed, args.sign_mode)
+        _check_request(pair, args.method, args.starts)
     except ValueError as e:
         args.parser.error(str(e))
+    v = build_variety(FieldCtx(args.q, args.d), args.variety)
+    rep = _report_for(v, pair, args.method, args.starts, args.seed, args.sign_mode)
     if not v.size_ok:
         print("[hypothesis violated: |V| far from q^(d-1)]")
     print(
@@ -286,6 +292,7 @@ class ScanSpec:
                 raise ValueError(f"scan q values must be odd primes, got {q}")
         if self.d < 2:
             raise ValueError("scan needs d >= 2")
+        _check_request(self.pair, self.method, self.starts)
         self.qs = sorted(self.qs)
 
 
@@ -317,17 +324,6 @@ def _scan_row(spec: ScanSpec, q: int) -> str:
     return ",".join(fields)
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("FFHARM_THREADS")
-    cap = os.cpu_count() or 1
-    if env:
-        if env.strip().isdecimal() and int(env) >= 1:
-            cap = int(env)
-        else:
-            print(f"warning: ignoring FFHARM_THREADS={env!r}: not an integer >= 1", file=sys.stderr)
-    return max(1, min(n_tasks, cap))
-
-
 def fit_loglog_slope(qs: Sequence[int], values: Sequence[float]) -> float:
     """Least-squares slope of log(value) against log(q)."""
     x = np.log(np.asarray(qs, dtype=float))
@@ -336,30 +332,28 @@ def fit_loglog_slope(qs: Sequence[int], values: Sequence[float]) -> float:
 
 
 def cmd_restrict_scan(spec: ScanSpec) -> int:
-    """Run the scan, write the CSV, print the fitted log-log slope."""
-    rows: dict[int, str] = {}
-    errors: dict[int, str] = {}
-    with ThreadPoolExecutor(max_workers=_worker_count(len(spec.qs))) as pool:
-        futures = {q: pool.submit(_scan_row, spec, q) for q in spec.qs}
-        for q in spec.qs:
-            try:
-                rows[q] = futures[q].result()
-            except Exception as e:  # flush what we have, report the rest
-                errors[q] = f"{type(e).__name__}: {e}"
+    """Run the scan, write the CSV, print the fitted log-log slope.
+
+    Rows run in ascending q on the calling thread; a failed row is reported
+    on stderr and the scan goes on with the next prime.
+    """
+    done: list[int] = []
+    estimates: list[float] = []
     with open(spec.out, "w", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
         for q in spec.qs:
-            if q in rows:
-                fh.write(rows[q] + "\n")
-    for q in spec.qs:
-        if q in errors:
-            print(f"q={q}: {errors[q]}", file=sys.stderr)
-    done = [q for q in spec.qs if q in rows]
+            try:
+                row = _scan_row(spec, q)
+            except Exception as e:
+                print(f"q={q}: {type(e).__name__}: {e}", file=sys.stderr)
+                continue
+            fh.write(row + "\n")
+            done.append(q)
+            estimates.append(float(row.split(",")[7]))
     print(f"wrote {spec.out} ({len(done)} rows)")
     if len(done) >= 2:
-        estimates = [float(rows[q].split(",")[7]) for q in done]
         print(f"slope log(estimate) vs log(q): {fit_loglog_slope(done, estimates):+.4f}")
-    return 1 if errors else 0
+    return 0 if len(done) == len(spec.qs) else 1
 
 
 def _run_restrict_scan(args) -> int:
@@ -375,8 +369,6 @@ def _run_restrict_scan(args) -> int:
             sign_mode=args.sign_mode,
             out=args.out,
         )
-        if args.method == "exact22" and not (spec.pair.p == 2 and spec.pair.r == 2):
-            raise ValueError("method exact22 requires --p 2 --r 2")
     except ValueError as e:
         args.parser.error(str(e))
     return cmd_restrict_scan(spec)

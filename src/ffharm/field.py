@@ -59,8 +59,7 @@ class FieldCtx:
     """Arithmetic context for F_q^d with q an odd prime and d >= 2.
 
     Immutable after construction; lazy grid caches are private memos and do
-    not change observable state, so instances are safe to share across
-    worker threads.
+    not change observable state.
     """
 
     def __init__(self, q: int, d: int):

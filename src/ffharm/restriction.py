@@ -353,6 +353,11 @@ def rnorm_search(
     sequentially in a fixed order (deltas, constant, then seeded random
     profiles) and ties keep the earliest start, so the result is
     deterministic given the seed.
+
+    At p = 1 the ratio is convex on the weighted l1 ball, so its maximum
+    is at a vertex, a normalized single sphere: the best of those q
+    profiles is returned with no ascent (iterations = 0, earliest radius
+    on ties), whatever ``starts`` and ``seed`` are.
     """
     if config is None:
         config = SearchConfig()
@@ -372,6 +377,14 @@ def rnorm_search(
     sizes = sphere_sizes(ctx).astype(np.float64)
     pf, rf = float(pair.p), float(pair.r)
     nonneg = config.sign_mode == "nonneg"
+
+    if pair.p == 1:
+        values = (((np.abs(A) / sizes) ** rf).sum(axis=0) / v.cardinality) ** (1.0 / rf)
+        j = int(np.argmax(values))
+        return RestrictionReport(
+            v.label, q, ctx.d, pair, "MultiStart", float(values[j]), 0,
+            config.seed, config.sign_mode, np.eye(q)[j] / sizes[j],
+        )
 
     n_structured = q + 1
     n_starts = config.starts if config.starts is not None else n_structured + 4
@@ -396,16 +409,8 @@ def rnorm_search(
             best_value, best_profile = value, M
 
     return RestrictionReport(
-        variety=v.label,
-        q=q,
-        d=ctx.d,
-        pair=pair,
-        method="MultiStart",
-        estimate=float(best_value),
-        iterations=total_steps,
-        seed=config.seed,
-        sign_mode=config.sign_mode,
-        profile=np.asarray(best_profile),
+        v.label, q, ctx.d, pair, "MultiStart", float(best_value), total_steps,
+        config.seed, config.sign_mode, np.asarray(best_profile),
     )
 
 

@@ -1,9 +1,10 @@
 import math
-import os
+import threading
 from fractions import Fraction
 
 import pytest
 
+import ffharm.cli
 import ffharm.expsums
 from ffharm import (
     ExponentPair,
@@ -17,7 +18,6 @@ from ffharm import (
 from ffharm.cli import (
     ScanSpec,
     _scan_row,
-    _worker_count,
     cmd_restrict_scan,
     cmd_sum,
     cmd_verify_lemma1,
@@ -143,14 +143,16 @@ def test_scan_deterministic(tmp_path, capsys):
     assert b"\r" not in a  # LF endings
 
 
-def test_scan_worker_count_does_not_change_output(tmp_path, monkeypatch):
-    spec_a = _spec(tmp_path, "serial.csv")
-    monkeypatch.setenv("FFHARM_THREADS", "1")
-    cmd_restrict_scan(spec_a)
-    monkeypatch.setenv("FFHARM_THREADS", "4")
-    spec_b = _spec(tmp_path, "threaded.csv")
-    cmd_restrict_scan(spec_b)
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "threaded.csv").read_bytes()
+def test_scan_rows_run_on_the_calling_thread(tmp_path, monkeypatch):
+    seen = []
+
+    def recording_row(spec, q):
+        seen.append((q, threading.get_ident()))
+        return _scan_row(spec, q)
+
+    monkeypatch.setattr(ffharm.cli, "_scan_row", recording_row)
+    assert cmd_restrict_scan(_spec(tmp_path, "serial.csv")) == 0
+    assert seen == [(q, threading.get_ident()) for q in (3, 5, 7)]
 
 
 def test_scan_rows_match_single_runs(tmp_path):
@@ -217,17 +219,27 @@ def test_non_integer_sphere_radius_exits_2(capsys):
     assert "sphere radius" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_invalid_thread_count_warns(monkeypatch, capsys, value):
-    monkeypatch.setenv("FFHARM_THREADS", value)
-    assert _worker_count(3) == min(3, os.cpu_count() or 1)
-    assert f"FFHARM_THREADS={value!r}" in capsys.readouterr().err
+_BAD_REQUESTS = [
+    ["--p", "3/2", "--r", "2", "--starts", "0"],
+    ["--p", "inf", "--r", "2"],
+    ["--p", "3/2", "--r", "2", "--method", "exact22"],
+]
 
 
-def test_valid_thread_count_is_silent(monkeypatch, capsys):
-    monkeypatch.setenv("FFHARM_THREADS", "2")
-    assert _worker_count(5) == 2
-    assert capsys.readouterr().err == ""
+@pytest.mark.parametrize("extra", _BAD_REQUESTS)
+@pytest.mark.parametrize("command", ["norm", "scan"])
+def test_bad_request_exits_2_before_any_row(tmp_path, monkeypatch, extra, command):
+    def no_build(*args):
+        raise AssertionError("variety built for a request that cannot run")
+
+    monkeypatch.setattr(ffharm.cli, "build_variety", no_build)
+    out = tmp_path / "x.csv"
+    where = ["--q", "5"] if command == "norm" else ["--q", "5,7", "--out", str(out)]
+    argv = ["restrict", command, "--variety", "paraboloid", "--d", "3"] + where + extra
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert not out.exists()
 
 
 def _no_grid(owner):

@@ -217,14 +217,17 @@ _EDGE_VARIETIES = ["paraboloid", "sphere:0", "sphere:1", "plane"]
 
 
 @pytest.mark.parametrize("name", _EDGE_VARIETIES)
-@pytest.mark.parametrize("r", [F(1), F(3, 2), F(2)])
+@pytest.mark.parametrize("r", [F(1), F(3, 2), F(2), F(3), F(4)])
 def test_search_at_p1_equals_witness(name, r):
     # at p = 1 the ratio is largest at an extreme point of the unit ball of
     # radial profiles, a normalized single sphere: one of the witnesses
     v = build_variety(FieldCtx(7, 3), name)
     pair = ExponentPair(F(1), r)
     witness = witness_lower_bound(v, pair)
-    assert abs(rnorm_search(v, pair).estimate - witness) <= 1e-9 * witness
+    for sign_mode in ("signed", "nonneg"):
+        rep = rnorm_search(v, pair, SearchConfig(sign_mode=sign_mode))
+        assert abs(rep.estimate - witness) <= 1e-9 * witness
+        assert rep.iterations == 0
 
 
 @pytest.mark.parametrize("name", _EDGE_VARIETIES)
