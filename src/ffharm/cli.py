@@ -304,14 +304,12 @@ def _scan_row(spec: ScanSpec, q: int) -> str:
     v = build_variety(ctx, spec.variety)
     inter = zero_sphere_intersection(v)
     rep = _report_for(v, spec.pair, spec.method, spec.starts, spec.seed, spec.sign_mode)
-    p_txt = "inf" if spec.pair.p == math.inf else str(spec.pair.p)
-    r_txt = "inf" if spec.pair.r == math.inf else str(spec.pair.r)
     fields = [
         str(q),
         str(spec.d),
         v.label,
-        p_txt,
-        r_txt,
+        str(spec.pair.p),  # str(math.inf) is "inf"
+        str(spec.pair.r),
         rep.method,
         rep.sign_mode,
         _fmt(rep.estimate),

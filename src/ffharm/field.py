@@ -100,6 +100,11 @@ class FieldCtx:
                 f"q^{dims} = {self.q**dims} exceeds the enumeration budget {GRID_BUDGET}"
             )
 
+    def check_int64_counts(self) -> None:
+        """Raise TooLarge when q^d >= 2^63: counts of F_q^d points may then wrap int64."""
+        if self.size >= 2**63:
+            raise TooLarge(f"q^d = {self.size} points cannot be counted exactly in int64")
+
     def grid_norms(self) -> np.ndarray:
         """``m_1^2 + ... + m_d^2 mod q`` for every grid point, lex order.
 
@@ -142,13 +147,10 @@ class FieldCtx:
 def cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact cyclic convolution of two integer tables of one shape (q, ..., q).
 
-    ``out[u] = sum_v a[v] b[u - v]`` with every index taken mod q.  The
-    denser table is shifted once per nonzero entry of the sparser one, in
-    integer arithmetic only, so the result is exact while its entries stay
-    below 2^63.
+    ``out[u] = sum_v a[v] b[u - v]``, indices mod q: ``a`` is shifted once
+    per nonzero of ``b``, so pass the sparser table as ``b``.  Integers
+    only, so the result is exact while its entries stay below 2^63.
     """
-    if np.count_nonzero(a) < np.count_nonzero(b):
-        a, b = b, a
     axes = tuple(range(a.ndim))
     out = np.zeros_like(a)
     for shift in zip(*np.nonzero(b)):

@@ -59,6 +59,7 @@ def sphere_sizes(ctx: FieldCtx) -> np.ndarray:
     d-fold cyclic convolution of the histogram of m^2 mod q (O(d q^2)).
     ``enumerate_sphere`` and ``sphere_count_closed`` are its oracles.
     """
+    ctx.check_int64_counts()
     q = ctx.q
     squares = np.bincount(np.arange(q, dtype=np.int64) ** 2 % q, minlength=q)
     sizes = squares

@@ -12,9 +12,9 @@ P = 0 holds |V cap S_t| for every radius t.  A separable P such as the
 paraboloid costs O(d q^3) integer operations; one block of all d
 variables costs one evaluation on the grid.
 
-The points of V themselves (lex flat indices, coordinates, norms) come
-from evaluating P by broadcasting over the d coordinate axes, on demand
-and within GRID_BUDGET; they are the test oracle of the counts.
+The points of V themselves (``Variety.flat``, lex flat indices) come from
+evaluating P by broadcasting over the d coordinate axes, on demand and
+within GRID_BUDGET; they are the test oracle of the counts.
 
 Polynomial grammar (whitespace-insensitive ASCII):
 
@@ -42,7 +42,6 @@ from .errors import (
     EmptyVarietyWarning,
     NegativeExponent,
     ParseError,
-    TooLarge,
     UnknownVariable,
 )
 from .field import FieldCtx, cyclic_convolve
@@ -268,10 +267,9 @@ def _pow_mod_vec(base: np.ndarray, k: int, q: int) -> np.ndarray:
 def _eval_axes(expr: PolyExpr, axes, q: int) -> np.ndarray:
     """Evaluate with ``axes[k]`` holding the values of x_{k+1}.
 
-    The axes only need to broadcast against each other: the columns of an
-    (n, d) point array, or the open mesh of ``np.ix_``, where each node's
-    result has full extent only along the axes of the variables it uses.
-    A constant comes back as a scalar; callers broadcast the result.
+    The axes form an open mesh (``np.ix_``): each node's result has full
+    extent only along the axes of the variables it uses.  A constant comes
+    back as a scalar; callers broadcast the result.
     """
     if isinstance(expr, Lit):
         return np.int64(expr.value % q)
@@ -295,11 +293,6 @@ def _eval_axes(expr: PolyExpr, axes, q: int) -> np.ndarray:
     # out is a fresh array (or scalar), so reducing in place halves the peak
     out %= q
     return out
-
-
-def eval_poly_grid(expr: PolyExpr, pts: np.ndarray, q: int) -> np.ndarray:
-    """Vectorized evaluation over an (n, d) array of points."""
-    return np.broadcast_to(_eval_axes(expr, pts.T, q), pts.shape[:1]).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +326,9 @@ class Variety:
     The restriction routines see V only through ``radius_counts`` (the
     int64 counts ``|V cap S_t|`` for t in F_q), ``cardinality`` and
     ``contains_zero``, which :func:`build_variety` computes without
-    enumerating F_q^d.  ``flat``, ``points`` and ``norms`` enumerate V by
-    evaluating P on the whole grid the first time they are read, within
-    ``GRID_BUDGET``; they are the oracle of the counts.
+    enumerating F_q^d.  ``flat``, V's lex flat indices, evaluates P on the
+    whole grid when first read, within ``GRID_BUDGET``; it is the oracle of
+    the counts (``ctx.grid_norms()[flat]`` are the norms of V).
 
     ``size_ok`` is the working hypothesis that the variety behaves like a
     hypersurface, quantified as |V| within a factor 4 of q^{d-1}.  We never
@@ -362,25 +355,6 @@ class Variety:
         flat = np.flatnonzero(np.broadcast_to(zero, (ctx.q,) * ctx.d))
         flat.setflags(write=False)
         return flat
-
-    def _coords(self) -> tuple[np.ndarray, ...]:
-        return np.unravel_index(self.flat, (self.ctx.q,) * self.ctx.d)
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """The (|V|, d) coordinates, lex order."""
-        points = np.stack(self._coords(), axis=1)
-        points.setflags(write=False)
-        return points
-
-    @cached_property
-    def norms(self) -> np.ndarray:
-        """``||x|| = x_1^2 + ... + x_d^2 mod q`` for each point of V, lex order."""
-        q = self.ctx.q
-        squares = np.arange(q, dtype=np.int64) ** 2 % q
-        norms = sum(squares[c] for c in self._coords()) % q
-        norms.setflags(write=False)
-        return norms
 
     @property
     def size_ok(self) -> bool:
@@ -474,6 +448,7 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
     tables = sorted(
         (_block_table(ctx, axes, terms) for axes, terms in blocks), key=np.count_nonzero
     )
+    # densest first: the accumulator only grows denser, so it stays cyclic_convolve's shifted a
     joint = tables.pop()
     for table in tables:
         joint = cyclic_convolve(joint, table)
@@ -490,8 +465,7 @@ def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:
     enumerated; a block over ``GRID_BUDGET`` points, or q^d >= 2^63 (past
     exact int64 counts), raises TooLarge.
     """
-    if ctx.size >= 2**63:
-        raise TooLarge(f"q^d = {ctx.size} points cannot be counted exactly in int64")
+    ctx.check_int64_counts()
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name == "paraboloid":

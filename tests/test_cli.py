@@ -113,6 +113,14 @@ def test_restrict_region_output(capsys):
     assert "= 0" in out
 
 
+@pytest.mark.parametrize("p,r", [("1/0", "2"), ("3/2", "2/0")])
+def test_restrict_region_zero_denominator_is_a_usage_error(capsys, p, r):
+    with pytest.raises(SystemExit) as info:
+        main(["restrict", "region", "--d", "3", "--p", p, "--r", r])
+    assert info.value.code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_ft_selftest(capsys):
     assert main(["ft", "selftest", "--q", "3", "--d", "2", "--trials", "3"]) == 0
     assert capsys.readouterr().out.count("PASS") == 3
@@ -223,6 +231,7 @@ _BAD_REQUESTS = [
     ["--p", "3/2", "--r", "2", "--starts", "0"],
     ["--p", "inf", "--r", "2"],
     ["--p", "3/2", "--r", "2", "--method", "exact22"],
+    ["--p", "3/2", "--r", "2/0"],
 ]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ffharm import DimensionMismatch, FieldCtx, ZeroInverse, eta, inv, norm_form
-from ffharm.field import is_odd_prime
+from ffharm.field import cyclic_convolve, is_odd_prime
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102) if is_odd_prime(p)]
 
@@ -112,3 +112,28 @@ def test_tables_are_immutable():
         ctx.inv_table[1] = 0
     with pytest.raises(ValueError):
         ctx.chars.chi_values[0] = 0
+
+
+def _convolve_by_definition(a, b):
+    """out[u] = sum_v a[v] b[u - v], every index mod q, by explicit loops."""
+    q = a.shape[0]
+    out = np.zeros_like(a)
+    for u in np.ndindex(a.shape):
+        for v in np.ndindex(a.shape):
+            w = tuple((ui - vi) % q for ui, vi in zip(u, v))
+            out[u] += a[v] * b[w]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(7,), (11,), (5, 5), (3, 3)])
+def test_cyclic_convolve_matches_definition(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    for _ in range(5):
+        # mostly zeros in b, so the two arguments differ in density
+        a = rng.integers(0, 6, size=shape, dtype=np.int64)
+        b = rng.integers(0, 6, size=shape, dtype=np.int64) * (rng.random(shape) < 0.3)
+        expected = _convolve_by_definition(a, b)
+        for left, right in ((a, b), (b, a)):
+            out = cyclic_convolve(left, right)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, expected)

@@ -148,7 +148,7 @@ def test_radial_matrix_zero_row_and_columns():
     from ffharm import sphere_ft_closed
 
     for j in range(3):
-        col = np.array([sphere_ft_closed(ctx, j, x) for x in v.points])
+        col = np.array([sphere_ft_closed(ctx, j, x) for x in ctx.grid_points()[v.flat]])
         assert np.abs(A[:, j] - col).max() < 1e-9
 
 

@@ -154,3 +154,20 @@ def test_kernel_matches_scalar_closed_tail(q, d):
     assert K.shape == (q, q)
     oracle = np.array([[_closed_tail(ctx, j, t) for t in range(q)] for j in range(q)])
     assert np.abs(K - oracle).max() < 1e-9 * max(1.0, float(np.abs(oracle).max()))
+
+
+@pytest.mark.parametrize("q,d", [(1009, 8), (1009, 7), (211, 9)])
+def test_sphere_sizes_refuse_int64_overflow(q, d):
+    # q^d >= 2^63: |S_0| at (1009, 8) is 1064726746914215548801, past int64
+    with pytest.raises(TooLarge):
+        sphere_sizes(FieldCtx(q, d))
+
+
+def test_sphere_sizes_exact_below_int64_limit():
+    q, d = 1009, 6
+    assert q**d < 2**63
+    sizes = sphere_sizes(FieldCtx(q, d))
+    # even d, eta((-1)^(d/2)) = eta(-1) = 1 as q = 1 mod 4:
+    # |S_0| = q^(d-1) + (q-1) q^((d-2)/2) and |S_j| = q^(d-1) - q^((d-2)/2)
+    assert int(sizes[0]) == q**5 + (q - 1) * q**2
+    assert (sizes[1:] == q**5 - q**2).all()
