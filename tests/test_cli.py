@@ -1,7 +1,9 @@
 import math
+import re
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ffharm.cli
@@ -9,12 +11,15 @@ import ffharm.expsums
 from ffharm import (
     ExponentPair,
     FieldCtx,
+    GridFunction,
     SearchConfig,
+    Side,
     SumValue,
     Variety,
     build_variety,
     rnorm_search,
 )
+from ffharm import fourier
 from ffharm.cli import (
     ScanSpec,
     _scan_row,
@@ -124,6 +129,44 @@ def test_restrict_region_zero_denominator_is_a_usage_error(capsys, p, r):
 def test_ft_selftest(capsys):
     assert main(["ft", "selftest", "--q", "3", "--d", "2", "--trials", "3"]) == 0
     assert capsys.readouterr().out.count("PASS") == 3
+
+
+def test_ft_selftest_catches_a_wrong_fast_transform(monkeypatch, capsys):
+    real = fourier.ft_fast
+
+    def off_by_one_entry(f):
+        values = real(f).values.copy()
+        values[1] += 1.0
+        return GridFunction(f.ctx, values, Side.DualNormalized)
+
+    monkeypatch.setattr(fourier, "ft_fast", off_by_one_entry)
+    assert main(["ft", "selftest", "--q", "5", "--d", "2", "--trials", "3"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^fast vs naive: max rel err \S+\s+FAIL$", out, re.M)
+
+
+def test_ft_selftest_takes_every_naive_transform_in_one_pass(monkeypatch, capsys):
+    q, d, trials, seed = 5, 2, 4, 7
+    real = fourier.character_sums
+    passes = []
+
+    def recording(ctx, m, weights):
+        passes.append(real(ctx, m, weights))
+        return passes[-1]
+
+    monkeypatch.setattr(fourier, "character_sums", recording)
+    argv = ["ft", "selftest", "--q", str(q), "--d", str(d)]
+    assert main(argv + ["--trials", str(trials), "--seed", str(seed)]) == 0
+    monkeypatch.undo()
+    (batched,) = passes
+    assert batched.shape == (q**d, trials)
+    # column t is the naive transform of the t-th vector drawn from the seed
+    ctx = FieldCtx(q, d)
+    rng = np.random.default_rng(seed)
+    for column in batched.T:
+        values = rng.standard_normal(ctx.size) + 1j * rng.standard_normal(ctx.size)
+        naive = fourier.ft_naive(GridFunction(ctx, values, Side.PrimalCounting)).values
+        assert np.abs(column - naive).max() < 1e-12
 
 
 def _spec(tmp_path, name, seed=7):

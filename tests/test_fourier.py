@@ -1,7 +1,11 @@
+import cmath
+import itertools
+
 import numpy as np
 import pytest
 
 from ffharm import (
+    DimensionMismatch,
     FieldCtx,
     GridFunction,
     Side,
@@ -126,9 +130,62 @@ def test_oracles_independent_of_chunk_budget(monkeypatch):
     rng = np.random.default_rng(3)
     f = GridFunction(ctx, rng.standard_normal(ctx.size), Side.PrimalCounting)
     spheres = [enumerate_sphere(ctx, j) for j in range(ctx.q)]
-    default = [ft_naive(f).values] + [sphere_ft_naive_grid(s) for s in spheres]
-    # below one row: every chunk holds a single x
-    monkeypatch.setattr(fourier, "NAIVE_BUDGET", 1)
-    small = [ft_naive(f).values] + [sphere_ft_naive_grid(s) for s in spheres]
-    for a, b in zip(small, default):
-        assert np.allclose(a, b, rtol=0, atol=1e-12)
+    m = spheres[2].points
+    weights = rng.standard_normal((len(m), 3)) + 1j * rng.standard_normal((len(m), 3))
+
+    def oracles():
+        return (
+            [ft_naive(f).values]
+            + [sphere_ft_naive_grid(s) for s in spheres]
+            + [fourier.character_sums(ctx, m, weights)]
+        )
+
+    default = oracles()
+    # 1 is below one row, so every chunk holds a single x; at 1000 the
+    # chunks hold several x and the last one is partial
+    for budget in (1, 1000):
+        monkeypatch.setattr(fourier, "NAIVE_BUDGET", budget)
+        for a, b in zip(oracles(), default):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+def _explicit_character_sums(q, d, m, weights):
+    """sum_i w_i exp(-2 pi i ((m_i . x) mod q) / q) at every x, lex order."""
+    out = []
+    for x in itertools.product(range(q), repeat=d):
+        total = 0
+        for mi, wi in zip(m, weights):
+            dot = sum(int(a) * b for a, b in zip(mi, x)) % q
+            total = total + wi * cmath.exp(-2j * cmath.pi * dot / q)
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 3), (3, 4)])
+def test_character_sums_match_explicit_loop(q, d):
+    ctx = FieldCtx(q, d)
+    rng = np.random.default_rng(10 * q + d)
+    # entries outside [0, q) and repeated rows are both legal frequencies
+    m = rng.integers(-q, 2 * q, size=(6, d))
+    m = np.vstack([m, m[[0, 0, 3]]])
+    n = len(m)
+    for shape in ((n,), (n, 3)):
+        weights = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = fourier.character_sums(ctx, m, weights)
+        assert got.shape == (ctx.size,) + shape[1:]
+        want = _explicit_character_sums(q, d, m, weights)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_character_sums_of_no_points_are_zero():
+    ctx = FieldCtx(3, 2)
+    m = np.empty((0, 2))
+    assert np.array_equal(fourier.character_sums(ctx, m, np.empty(0)), np.zeros(9))
+    assert np.array_equal(fourier.character_sums(ctx, m, np.empty((0, 2))), np.zeros((9, 2)))
+
+
+def test_character_sums_reject_wrong_point_dimension():
+    ctx = FieldCtx(3, 3)
+    with pytest.raises(DimensionMismatch):
+        fourier.character_sums(ctx, np.zeros((4, 2)), np.ones(4))
