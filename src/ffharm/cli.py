@@ -67,14 +67,23 @@ def _odd_prime(text: str) -> int:
     return q
 
 
-def _dimension(text: str) -> int:
-    try:
-        d = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"d must be an integer, got {text!r}")
-    if d < 2:
-        raise argparse.ArgumentTypeError(f"d must be >= 2, got {d}")
-    return d
+def _int_at_least(name: str, low: int):
+    """An argparse type for integers >= low, named in its error messages."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_dimension = _int_at_least("d", 2)
+_seed = _int_at_least("seed", 0)
 
 
 def _odd_prime_list(text: str) -> list[int]:
@@ -492,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--r", type=_exponent, required=True, help="fraction a/b or inf")
     common.add_argument("--method", choices=("search", "exact22", "witness"), default="search")
     common.add_argument("--starts", type=int, default=None)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument(
         "--sign-mode", dest="sign_mode", choices=("signed", "nonneg"), default="signed"
     )
@@ -517,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = ft_sub.add_parser("selftest")
     p_self.add_argument("--q", type=_odd_prime, required=True)
     p_self.add_argument("--d", type=_dimension, required=True)
-    p_self.add_argument("--trials", type=int, default=20)
-    p_self.add_argument("--seed", type=int, default=0)
+    p_self.add_argument("--trials", type=_int_at_least("trials", 1), default=20)
+    p_self.add_argument("--seed", type=_seed, default=0)
     p_self.set_defaults(func=_run_ft_selftest)
 
     return parser

@@ -131,6 +131,18 @@ def test_ft_selftest(capsys):
     assert capsys.readouterr().out.count("PASS") == 3
 
 
+@pytest.mark.parametrize("extra", [["--trials", "0"], ["--trials", "-1"], ["--seed", "-1"]])
+def test_ft_selftest_bad_count_or_seed_exits_2(monkeypatch, capsys, extra):
+    def no_sums(*args):
+        raise AssertionError("self-test ran for a request that cannot run")
+
+    monkeypatch.setattr(fourier, "character_sums", no_sums)
+    with pytest.raises(SystemExit) as info:
+        main(["ft", "selftest", "--q", "5", "--d", "2"] + extra)
+    assert info.value.code == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
 def test_ft_selftest_catches_a_wrong_fast_transform(monkeypatch, capsys):
     real = fourier.ft_fast
 
@@ -275,6 +287,7 @@ _BAD_REQUESTS = [
     ["--p", "inf", "--r", "2"],
     ["--p", "3/2", "--r", "2", "--method", "exact22"],
     ["--p", "3/2", "--r", "2/0"],
+    ["--p", "3/2", "--r", "2", "--seed", "-1"],
 ]
 
 

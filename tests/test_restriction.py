@@ -31,7 +31,7 @@ from ffharm import (
     witness_lower_bound,
     zero_sphere_intersection,
 )
-from ffharm.restriction import _radial_classes, _weighted_norm
+from ffharm.restriction import _class_rows, _sigma_norm
 
 F = Fraction
 
@@ -188,18 +188,20 @@ _exponents = st.fractions(min_value=1, max_value=6, max_denominator=5)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(_VARIETIES), _exponents, st.integers(0, 2**32 - 1))
+@given(
+    st.sampled_from(_VARIETIES), st.one_of(_exponents, st.just(math.inf)),
+    st.integers(0, 2**32 - 1),
+)
 def test_class_weighted_objective_matches_radial_matrix(case, r, seed):
     q, d, name = case
     v = build_variety(FieldCtx(q, d), name)
-    rows, weights = _radial_classes(v)
-    assert weights.sum() == v.cardinality
+    rows = _class_rows(v, r)
     off_origin = v.flat[int(v.contains_zero):]
     assert len(rows) == len(np.unique(v.ctx.grid_norms()[off_origin])) + v.contains_zero
     rng = np.random.default_rng(seed)
     M = rng.standard_normal(q) + 1j * rng.standard_normal(q)
     full = lr_norm_sigma(radial_matrix(v) @ M, v, r)
-    classes = _weighted_norm(rows @ M, weights / v.cardinality, r)
+    classes = _sigma_norm(rows @ M, v.cardinality, r)
     assert abs(classes - full) <= 1e-9 * max(full, 1e-300)
 
 
@@ -211,6 +213,64 @@ def test_search_dominates_witness_bound(case, p, r, seed):
     pair = ExponentPair(p, r)
     rep = rnorm_search(v, pair, SearchConfig(seed=seed))
     assert rep.estimate >= witness_lower_bound(v, pair) - 1e-9
+
+
+def _dense_ratio(v, M, pair):
+    """The restriction ratio of profile M by the full |V| x q radial matrix."""
+    return lr_norm_sigma(radial_matrix(v) @ M, v, pair.r) / profile_lp_norm(
+        RadialProfile(v.ctx, M), pair.p
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_VARIETIES), st.one_of(st.just(F(1)), _exponents), _exponents,
+    st.sampled_from(["signed", "nonneg"]), st.integers(0, 1000),
+)
+def test_search_estimate_is_attained_by_its_profile(case, p, r, sign_mode, seed):
+    q, d, name = case
+    v = build_variety(FieldCtx(q, d), name)
+    pair = ExponentPair(p, r)
+    rep = rnorm_search(v, pair, SearchConfig(seed=seed, sign_mode=sign_mode))
+    assert abs(_dense_ratio(v, rep.profile, pair) - rep.estimate) <= 1e-12 * rep.estimate
+    if sign_mode == "nonneg":
+        assert np.isrealobj(rep.profile) and (rep.profile >= 0).all()
+
+
+def _duality_map(x, s):
+    out = np.zeros_like(x)
+    nz = x != 0
+    out[nz] = np.abs(x[nz]) ** (s - 2) * x[nz]
+    return out
+
+
+@pytest.mark.parametrize("q,d,name", _VARIETIES)
+@pytest.mark.parametrize("p,r", [(F(3, 2), F(2)), (F(2), F(4)), (F(6, 5), F(3)), (F(4), F(3))])
+def test_search_profile_is_a_fixed_point_of_the_power_map(q, d, name, p, r):
+    # one more step of M <- psi_p'(A^H psi_r(A M) / |S|), taken on the dense
+    # matrix, must not raise the ratio of the profile the search stopped at
+    v = build_variety(FieldCtx(q, d), name)
+    pair = ExponentPair(p, r)
+    rep = rnorm_search(v, pair)
+    A = radial_matrix(v)
+    y = A.conj().T @ _duality_map(A @ rep.profile, float(r)) / sphere_sizes(v.ctx)
+    step = _duality_map(y, float(pair.p_conjugate))
+    assert _dense_ratio(v, step, pair) <= rep.estimate * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("q,d,name", _VARIETIES)
+@pytest.mark.parametrize(
+    "p,r",
+    [(F(3, 2), F(2)), (F(1), F(3)), (F(4), F(1)), (math.inf, F(2)), (F(2), math.inf),
+     (math.inf, math.inf)],
+)
+def test_witness_matches_dense_sphere_and_constant_profiles(q, d, name, p, r):
+    ctx = FieldCtx(q, d)
+    v = build_variety(ctx, name)
+    pair = ExponentPair(p, r)
+    profiles = [RadialProfile.delta(ctx, j).coeffs for j in range(q)] + [np.ones(q)]
+    dense = max(_dense_ratio(v, M, pair) for M in profiles)
+    assert abs(witness_lower_bound(v, pair) - dense) <= 1e-12 * dense
 
 
 _EDGE_VARIETIES = ["paraboloid", "sphere:0", "sphere:1", "plane"]
