@@ -235,8 +235,10 @@ def _run_variety_intersect(args) -> int:
 # restrict
 
 
-def _check_request(pair: ExponentPair, method: str, starts: Optional[int]) -> None:
-    """Reject an exponent pair or start count the method cannot run."""
+def _check_request(pair: ExponentPair, method: str, starts: Optional[int], seed: int) -> None:
+    """Reject an exponent pair, start count or seed the method cannot run."""
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if method == "exact22" and not (pair.p == 2 and pair.r == 2):
         raise ValueError("method exact22 requires --p 2 --r 2")
     if method == "search":
@@ -266,7 +268,7 @@ def _report_for(v, pair, method, starts, seed, sign_mode) -> RestrictionReport:
 def _run_restrict_norm(args) -> int:
     pair = ExponentPair(args.p, args.r)
     try:
-        _check_request(pair, args.method, args.starts)
+        _check_request(pair, args.method, args.starts, args.seed)
     except ValueError as e:
         args.parser.error(str(e))
     v = build_variety(FieldCtx(args.q, args.d), args.variety)
@@ -278,6 +280,8 @@ def _run_restrict_norm(args) -> int:
         f"method={rep.method} sign_mode={rep.sign_mode}"
     )
     print(f"estimate={_fmt(rep.estimate)}  iterations={rep.iterations}  seed={rep.seed}")
+    if args.method == "search":
+        print(f"capped={rep.capped}  tied={rep.tied}")
     return 0
 
 
@@ -301,7 +305,7 @@ class ScanSpec:
                 raise ValueError(f"scan q values must be odd primes, got {q}")
         if self.d < 2:
             raise ValueError("scan needs d >= 2")
-        _check_request(self.pair, self.method, self.starts)
+        _check_request(self.pair, self.method, self.starts, self.seed)
         self.qs = sorted(self.qs)
 
 
@@ -399,6 +403,8 @@ def _run_restrict_region(args) -> int:
 
 
 def cmd_ft_selftest(q: int, d: int, trials: int = 20, seed: int = 0) -> int:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     ctx = FieldCtx(q, d)
     rng = np.random.default_rng(seed)
     ok = True

@@ -12,9 +12,10 @@ Every routine reads A through its distinct rows, one per norm class of V
 (``_class_rows``).  ``rnorm_exact_22`` solves the Euclidean case p = r = 2
 exactly (top singular value, by one dense Hermitian eigensolve);
 ``rnorm_search`` lower-bounds the general case by the multi-start
-nonlinear power method for p -> r norms (Boyd 1974; Higham 1992): by
-Holder's inequality no step lowers the ratio, and a run stops when a
-step no longer raises it by more than 1e-13 relative; and
+nonlinear power method for p -> r norms (Boyd 1974; Higham 1992), all
+starts iterated together: by Holder's inequality no step lowers the
+ratio, and a start stops when a step no longer raises it by more than
+1e-13 relative; and
 ``witness_lower_bound`` evaluates the cheap closed-form witnesses.
 
 Exponent pairs are exact fractions throughout, so region membership and
@@ -141,6 +142,8 @@ class RestrictionReport:
     seed: int
     sign_mode: str = "-"
     profile: Optional[np.ndarray] = None
+    capped: int = 0  # search starts stopped by the step cap
+    tied: int = 0  # search starts within 1e-9 relative of the best
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,7 @@ def rnorm_exact_22(v: Variety) -> float:
 
 
 # step cap of each power-method run
-_ASCENT_STEPS = 10_000
+_POWER_STEPS = 10_000
 
 
 @dataclass
@@ -274,46 +277,91 @@ class SearchConfig:
 
 def _psi(x: np.ndarray, s: float) -> np.ndarray:
     """The duality map |x|^(s-2) x, taking 0 to 0."""
-    out = np.zeros_like(x)
-    nz = x != 0
-    out[nz] = np.abs(x[nz]) ** (s - 2.0) * x[nz]
-    return out
+    a = np.abs(x)
+    np.power(a, s - 2.0, out=a, where=a > 0)
+    return a * x
 
 
-def _ascend(
+def _starts(q: int, n_starts: int, seed: int, nonneg: bool) -> np.ndarray:
+    """The first n_starts of: every delta, the constant profile, then seeded
+    random profiles (uniform on [0, 1) in nonneg mode, complex Gaussian
+    otherwise).  One start per row."""
+    structured = np.vstack([np.eye(q), np.ones((1, q))])
+    rng = np.random.default_rng(seed)
+    n_random = max(0, n_starts - (q + 1))
+    if nonneg:
+        random = rng.random((n_random, q))
+    else:
+        parts = rng.standard_normal((n_random, 2, q))  # per profile: real part, then imaginary
+        random = parts[:, 0] + 1j * parts[:, 1]
+    return np.vstack([structured, random])[:n_starts]
+
+
+def _power_method(
     A: np.ndarray, sizes: np.ndarray, pf: float, rf: float, M0: np.ndarray, nonneg: bool
-) -> tuple[float, np.ndarray, int]:
-    """One power-method run from M0.  Returns (||A M||_r, profile, steps).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Power-method runs from every row of M0, iterated together.
 
-    The profile stays on the unit ball of the weighted p-norm
+    Returns per start the value ||A M||_r, the profile M and the step
+    count, and the number of starts still running at the step cap.  Each
+    profile stays on the unit ball of the weighted p-norm
     (sum_j sizes_j |M_j|^p)^(1/p), so ||A M||_r is the ratio when A's rows
-    carry the measure.
+    carry the measure.  A start leaves the batch as soon as its own stop
+    rule fires, so it follows the path a run from it alone would take, up
+    to rounding.
     """
 
     def unit(M: np.ndarray) -> np.ndarray:
-        return M / ((np.abs(M) ** pf) * sizes).sum() ** (1.0 / pf)
+        """M with each row scaled in place to the unit weighted-p ball."""
+        w = np.abs(M)
+        w **= pf
+        w *= sizes
+        M /= (w.sum(axis=1) ** (1.0 / pf))[:, None]
+        return M
 
-    M = unit(np.asarray(M0, dtype=np.float64 if nonneg else np.complex128))
-    g = A @ M
-    value = float(np.linalg.norm(g, rf))
+    def r_norm(G: np.ndarray) -> np.ndarray:
+        a = np.abs(G)
+        a **= rf
+        return a.sum(axis=1) ** (1.0 / rf)
+
     pc = pf / (pf - 1.0)
-    for k in range(_ASCENT_STEPS):
-        y = (_psi(g, rf).conj() @ A).conj() / sizes  # A^H psi_r(g), without copying A
+    At, Ah = A.T, A.conj()
+    profiles = unit(np.array(M0, dtype=np.float64 if nonneg else np.complex128))
+    G = profiles @ At  # row i is A M_i
+    values = r_norm(G)
+    steps = np.full(len(profiles), _POWER_STEPS)
+    live = np.arange(len(profiles))  # the start behind each row of G
+    value = values.copy()
+    for k in range(_POWER_STEPS):
+        Y = _psi(G, rf) @ Ah
+        Y /= sizes  # row i is A^H psi_r(A M_i) / |S|
         if nonneg:
-            y = np.clip(y.real, 0.0, None)
-        top = np.abs(y).max()
-        if top == 0:
-            return value, M, k  # A M = 0, or no ascent direction on the cone
-        cand = unit(_psi(y / top, pc))  # the scale of y drops out; dividing avoids overflow
-        g_cand = A @ cand
-        cand_value = float(np.linalg.norm(g_cand, rf))
-        if not cand_value > value:
-            return value, M, k + 1
-        gain = (cand_value - value) / value
-        M, g, value = cand, g_cand, cand_value
-        if gain <= 1e-13:
-            return value, M, k + 1
-    return value, M, _ASCENT_STEPS
+            Y = np.clip(Y.real, 0.0, None)
+        top = np.abs(Y).max(axis=1)
+        moving = top > 0  # else A M = 0, or no ascent direction on the cone
+        steps[live[~moving]] = k
+        live, Y, top, value = live[moving], Y[moving], top[moving], value[moving]
+        # the scale of each row drops out; dividing by its top avoids overflow
+        Y /= top[:, None]
+        cand = unit(_psi(Y, pc))
+        G_cand = cand @ At
+        cand_value = r_norm(G_cand)
+        up = cand_value > value
+        steps[live[~up]] = k + 1  # keeps the profile it had
+        gain = (cand_value[up] - value[up]) / value[up]
+        live, G, value = live[up], G_cand[up], cand_value[up]
+        values[live], profiles[live] = value, cand[up]
+        more = gain > 1e-13
+        steps[live[~more]] = k + 1  # keeps the new profile
+        live, G, value = live[more], G[more], value[more]
+        if live.size == 0:
+            break
+    return values, profiles, steps, int(live.size)
+
+
+def _tied(values: np.ndarray) -> int:
+    """How many of values lie within 1e-9 relative of their maximum."""
+    return int((values >= values.max() * (1.0 - 1e-9)).sum())
 
 
 def rnorm_search(
@@ -322,10 +370,13 @@ def rnorm_search(
     """Maximize the radial restriction ratio by the multi-start power method.
 
     Every value returned is certified: it is the ratio achieved by an
-    explicit profile, hence a true lower bound of the norm.  Starts run
-    sequentially in a fixed order (deltas, constant, then seeded random
-    profiles) and ties keep the earliest start, so the result is
-    deterministic given the seed.
+    explicit profile, hence a true lower bound of the norm.  The starts
+    (deltas, constant, then seeded random profiles, in that order) iterate
+    together, one row each of a starts x q profile matrix, so every step is
+    one matrix product per side for all starts still running.  Each start
+    stops on its own rule and leaves the batch then, so it follows the path
+    a run from it alone would take, up to rounding.  Ties keep the earliest
+    start, so the result is deterministic given the seed.
 
     Each start iterates M <- psi_p'(A^H psi_r(A M) / |S|), rescaled to the
     unit weighted-p ball, with psi_s(x) = |x|^(s-2) x.  By Holder's
@@ -333,13 +384,16 @@ def rnorm_search(
     map M -> ||A M||_r at M over the ball, so no step lowers the ratio (in
     ``nonneg`` mode the real part is clipped at 0 first, which maximizes
     it over the cone); fixed points are critical points of the ratio.  A
-    run stops when the map returns 0, when a step fails to raise the ratio
-    or raises it by at most 1e-13 relative, or after 10,000 steps.
+    start stops when the map returns 0, when a step fails to raise the
+    ratio or raises it by at most 1e-13 relative, or after 10,000 steps.
+    The report counts the starts that reached that cap (``capped``) and
+    the starts that ended within 1e-9 relative of the best (``tied``).
 
     At p = 1 the ratio is convex on the weighted l1 ball, so its maximum
     is at a vertex, a normalized single sphere: the best of those q
-    profiles is returned with no ascent (iterations = 0, earliest radius
-    on ties), whatever ``starts`` and ``seed`` are.
+    profiles is returned with no power steps (iterations = 0, earliest
+    radius on ties, ``tied`` counted over the q spheres), whatever
+    ``starts`` and ``seed`` are.
     """
     if config is None:
         config = SearchConfig()
@@ -349,6 +403,8 @@ def rnorm_search(
         raise ValueError(f"unknown sign_mode {config.sign_mode!r}")
     if config.starts is not None and config.starts < 1:
         raise ValueError("starts must be >= 1")
+    if config.seed < 0:
+        raise ValueError("seed must be >= 0")
 
     ctx = v.ctx
     q = ctx.q
@@ -362,36 +418,18 @@ def rnorm_search(
         j = int(np.argmax(values))
         return RestrictionReport(
             v.label, q, ctx.d, pair, "MultiStart", float(values[j]), 0,
-            config.seed, config.sign_mode, np.eye(q)[j] / sizes[j],
+            config.seed, config.sign_mode, np.eye(q)[j] / sizes[j], tied=_tied(values),
         )
 
-    n_structured = q + 1
-    n_starts = config.starts if config.starts is not None else n_structured + 4
-    rng = np.random.default_rng(config.seed)
-
-    profiles = list(np.eye(q)) + [np.ones(q)]
-    for _ in range(max(0, n_starts - n_structured)):
-        if nonneg:
-            profiles.append(rng.random(q))
-        else:
-            profiles.append(rng.standard_normal(q) + 1j * rng.standard_normal(q))
-    if n_starts < len(profiles):
-        profiles = profiles[:n_starts]
-
+    n_starts = config.starts if config.starts is not None else q + 5
+    M0 = _starts(q, n_starts, config.seed, nonneg)
     # with the measure folded into A, ||A M||_r is the ratio at unit M
     A = A / v.cardinality ** (1.0 / rf)
-    best_value = -1.0
-    best_profile = profiles[0]
-    total_steps = 0
-    for M0 in profiles:
-        value, M, steps = _ascend(A, sizes, pf, rf, M0, nonneg)
-        total_steps += steps
-        if value > best_value:
-            best_value, best_profile = value, M
-
+    values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg)
+    best = int(np.argmax(values))  # the first maximum: ties keep the earliest start
     return RestrictionReport(
-        v.label, q, ctx.d, pair, "MultiStart", float(best_value), total_steps,
-        config.seed, config.sign_mode, np.asarray(best_profile),
+        v.label, q, ctx.d, pair, "MultiStart", float(values[best]), int(steps.sum()),
+        config.seed, config.sign_mode, profiles[best], capped=capped, tied=_tied(values),
     )
 
 

@@ -23,6 +23,7 @@ from ffharm import fourier
 from ffharm.cli import (
     ScanSpec,
     _scan_row,
+    cmd_ft_selftest,
     cmd_restrict_scan,
     cmd_sum,
     cmd_verify_lemma1,
@@ -101,6 +102,20 @@ def test_restrict_norm_methods(capsys):
     assert info.value.code == 2
 
 
+def test_restrict_norm_prints_search_telemetry(capsys):
+    base = ["restrict", "norm", "--q", "7", "--d", "3", "--variety", "paraboloid", "--r", "2"]
+    assert main(base + ["--p", "3/2", "--seed", "2"]) == 0
+    rep = rnorm_search(
+        build_variety(FieldCtx(7, 3), "paraboloid"), ExponentPair(Fraction(3, 2), Fraction(2)),
+        SearchConfig(seed=2),
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"capped={rep.capped}  tied={rep.tied}"
+    assert rep.capped == 0 and 1 <= rep.tied <= 7 + 5
+    assert main(base + ["--p", "2", "--method", "exact22"]) == 0
+    assert "capped=" not in capsys.readouterr().out
+
+
 def test_restrict_norm_rejects_decimal_exponent():
     with pytest.raises(SystemExit) as info:
         main(
@@ -141,6 +156,13 @@ def test_ft_selftest_bad_count_or_seed_exits_2(monkeypatch, capsys, extra):
         main(["ft", "selftest", "--q", "5", "--d", "2"] + extra)
     assert info.value.code == 2
     assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_cmd_ft_selftest_rejects_a_bad_count_before_any_output(capsys, trials):
+    with pytest.raises(ValueError, match="trials"):
+        cmd_ft_selftest(5, 2, trials=trials)
+    assert capsys.readouterr().out == ""
 
 
 def test_ft_selftest_catches_a_wrong_fast_transform(monkeypatch, capsys):
@@ -255,6 +277,20 @@ def test_scan_spec_rejects_bad_q():
             pair=ExponentPair(Fraction(2), Fraction(2)),
             out="x.csv",
         )
+
+
+def test_scan_spec_rejects_negative_seed(tmp_path):
+    out = tmp_path / "neg.csv"
+    with pytest.raises(ValueError, match="seed"):
+        ScanSpec(
+            variety="paraboloid",
+            d=3,
+            qs=[3, 5],
+            pair=ExponentPair(Fraction(3, 2), Fraction(2)),
+            seed=-1,
+            out=str(out),
+        )
+    assert not out.exists()
 
 
 def test_cmd_sum_direct():

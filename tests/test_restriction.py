@@ -1,5 +1,7 @@
+import contextlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,16 @@ from ffharm import (
     witness_lower_bound,
     zero_sphere_intersection,
 )
-from ffharm.restriction import _class_rows, _sigma_norm
+import ffharm.restriction
+from ffharm.restriction import (
+    _POWER_STEPS,
+    _class_rows,
+    _power_method,
+    _psi,
+    _sigma_norm,
+    _starts,
+    _tied,
+)
 
 F = Fraction
 
@@ -244,6 +255,16 @@ def _duality_map(x, s):
     return out
 
 
+@pytest.mark.parametrize("s", [1.0, 6 / 5, 3 / 2, 2.0, 3.0, 6.0])
+def test_psi_matches_the_masked_duality_map(s):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    x[0, :3] = 0
+    x[1, 5] = 1e-200
+    for values in (x, x.real.copy()):
+        assert np.array_equal(_psi(values, s), _duality_map(values, s))
+
+
 @pytest.mark.parametrize("q,d,name", _VARIETIES)
 @pytest.mark.parametrize("p,r", [(F(3, 2), F(2)), (F(2), F(4)), (F(6, 5), F(3)), (F(4), F(3))])
 def test_search_profile_is_a_fixed_point_of_the_power_map(q, d, name, p, r):
@@ -390,6 +411,225 @@ def test_search_rejects_bad_config():
         rnorm_search(v, ExponentPair(F(2), F(2)), SearchConfig(starts=0))
     with pytest.raises(ValueError):
         rnorm_search(v, ExponentPair(F(2), F(2)), SearchConfig(sign_mode="both"))
+
+
+@pytest.mark.parametrize("p", [F(1), F(3, 2)])
+def test_search_rejects_negative_seed(p):
+    # p = 1 draws no random start, but the seed is still refused
+    v = build_variety(FieldCtx(3, 2), "plane")
+    with pytest.raises(ValueError, match="seed"):
+        rnorm_search(v, ExponentPair(p, F(2)), SearchConfig(seed=-1))
+
+
+# ---------------------------------------------------------------------------
+# batched power method against one start at a time
+
+
+def _ascend(A, sizes, pf, rf, M0, nonneg):
+    """One power-method run from M0.  Returns (||A M||_r, profile, steps).
+
+    The profile stays on the unit ball of the weighted p-norm
+    (sum_j sizes_j |M_j|^p)^(1/p), so ||A M||_r is the ratio when A's rows
+    carry the measure.
+    """
+
+    def unit(M):
+        return M / ((np.abs(M) ** pf) * sizes).sum() ** (1.0 / pf)
+
+    M = unit(np.asarray(M0, dtype=np.float64 if nonneg else np.complex128))
+    g = A @ M
+    value = float(np.linalg.norm(g, rf))
+    pc = pf / (pf - 1.0)
+    for k in range(_POWER_STEPS):
+        y = (_duality_map(g, rf).conj() @ A).conj() / sizes  # A^H psi_r(g), without copying A
+        if nonneg:
+            y = np.clip(y.real, 0.0, None)
+        top = np.abs(y).max()
+        if top == 0:
+            return value, M, k  # A M = 0, or no ascent direction on the cone
+        cand = unit(_duality_map(y / top, pc))  # the scale of y drops out; dividing avoids overflow
+        g_cand = A @ cand
+        cand_value = float(np.linalg.norm(g_cand, rf))
+        if not cand_value > value:
+            return value, M, k + 1
+        gain = (cand_value - value) / value
+        M, g, value = cand, g_cand, cand_value
+        if gain <= 1e-13:
+            return value, M, k + 1
+    return value, M, _POWER_STEPS
+
+
+def _search_inputs(v, pair):
+    """The measure-scaled class rows and the sphere sizes rnorm_search iterates on."""
+    A = _class_rows(v, pair.r) / v.cardinality ** (1.0 / float(pair.r))
+    return A, sphere_sizes(v.ctx).astype(np.float64)
+
+
+def _one_start_runs(A, sizes, pf, rf, M0, nonneg):
+    """(values, steps) of _ascend from each row of M0."""
+    runs = [_ascend(A, sizes, pf, rf, M, nonneg) for M in M0]
+    return np.array([run[0] for run in runs]), np.array([run[2] for run in runs])
+
+
+@contextlib.contextmanager
+def _step_cap(cap):
+    """Set the step cap of both _power_method and _ascend."""
+    with mock.patch.object(ffharm.restriction, "_POWER_STEPS", cap):
+        with mock.patch.dict(globals(), {"_POWER_STEPS": cap}):
+            yield
+
+
+def _first_strict_max(values):
+    """The start a one-at-a-time loop keeps: each new best must beat the old strictly."""
+    best_value, best = -1.0, 0
+    for i, value in enumerate(values):
+        if value > best_value:
+            best_value, best = value, i
+    return best
+
+
+_search_exponents = _exponents.filter(lambda x: x > 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(_VARIETIES), _search_exponents, _exponents,
+    st.sampled_from(["signed", "nonneg"]), st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 0, 1, 5, 9]),
+)
+def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed, extra):
+    # starts in {1, q, q + 1, q + 5, q + 9}
+    q, d, name = case
+    n_starts = 1 if extra is None else q + extra
+    v = build_variety(FieldCtx(q, d), name)
+    pair = ExponentPair(p, r)
+    pf, rf = float(p), float(r)
+    nonneg = sign_mode == "nonneg"
+    M0 = _starts(q, n_starts, seed, nonneg)
+    assert M0.shape == (n_starts, q)
+    A, sizes = _search_inputs(v, pair)
+    values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg)
+    rep = rnorm_search(v, pair, SearchConfig(starts=n_starts, seed=seed, sign_mode=sign_mode))
+    best = int(np.argmax(values))
+    assert rep.estimate == values[best] and np.array_equal(rep.profile, profiles[best])
+    assert rep.iterations == steps.sum() and rep.capped == capped == 0
+
+    want_values, want_steps = _one_start_runs(A, sizes, pf, rf, M0, nonneg)
+    # Two kinds of start end wherever rounding sends them, so the batched run
+    # and the one-start loop, which round differently, need not agree there:
+    # - a start with A M = 0 in exact arithmetic (the constant profile on a
+    #   variety without the origin) takes its first step along rounding noise;
+    # - a start that passes near a saddle of the ratio leaves it along
+    #   whichever unstable direction rounding picks.
+    # The first has a start ratio at rounding level; the second shows up as
+    # a one-start outcome that moves when the start moves by 1e-12 relative.
+    start_ratios = (np.abs(M0 @ A.T) ** rf).sum(axis=1) ** (1 / rf) / (
+        ((np.abs(M0) ** pf) * sizes).sum(axis=1) ** (1 / pf)
+    )
+    regular = start_ratios > 1e-9 * witness_lower_bound(v, pair)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        nudge = np.abs(rng.standard_normal(M0.shape)) * np.abs(M0).max(axis=1, keepdims=True)
+        nudged_values, nudged_steps = _one_start_runs(A, sizes, pf, rf, M0 + 1e-12 * nudge, nonneg)
+        regular &= np.abs(nudged_values - want_values) <= 1e-12 * want_values
+        regular &= np.abs(nudged_steps - want_steps) <= 1
+
+    assert np.all(np.abs(values - want_values)[regular] <= 1e-12 * want_values[regular])
+    # Step counts differ only where gains lie within rounding of the 1e-13
+    # stop threshold: one step when the gains fall fast, more when they
+    # linger near it.  The longer run's extra steps then gain little.
+    for i in np.nonzero(regular & (np.abs(steps - want_steps) > 1))[0]:
+        shorter = min(steps[i], want_steps[i])
+        with _step_cap(shorter):
+            if want_steps[i] > steps[i]:
+                at_shorter = _one_start_runs(A, sizes, pf, rf, M0[i:i + 1], nonneg)[0][0]
+                longer = want_values[i]
+            else:
+                at_shorter = _power_method(A, sizes, pf, rf, M0, nonneg)[0][i]
+                longer = values[i]
+        assert longer / at_shorter - 1 <= abs(steps[i] - want_steps[i]) * 2e-13
+    if regular.any():
+        got, kept = values[regular], want_values[regular]
+        best, want_best = int(np.argmax(got)), _first_strict_max(kept)
+        tol = 1e-12 * kept[want_best]
+        assert abs(got[best] - kept[want_best]) <= tol
+        # the chosen start is the one-start loop's, unless the two are tied within roundoff
+        assert best == want_best or abs(kept[best] - kept[want_best]) <= tol
+
+
+@pytest.mark.parametrize("q", [13, 31])
+def test_batched_steps_equal_one_start_steps_on_the_scan_rows(q):
+    # the search workload's rows converge in a few steps with gains far from
+    # the stop threshold, so every start's count matches exactly
+    v = build_variety(FieldCtx(q, 3), "paraboloid")
+    pair = ExponentPair(F(3, 2), F(2))
+    A, sizes = _search_inputs(v, pair)
+    M0 = _starts(q, q + 5, 0, nonneg=False)
+    values, _, steps, _ = _power_method(A, sizes, 1.5, 2.0, M0, False)
+    want_values, want_steps = _one_start_runs(A, sizes, 1.5, 2.0, M0, False)
+    assert np.array_equal(steps, want_steps)
+    assert np.all(np.abs(values - want_values) <= 1e-12 * want_values)
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_start_with_a_zero_transform_stops_at_step_0(nonneg):
+    # A M = 0 exactly for the first start: the map returns 0, no step is taken
+    A = np.array([[1.0 + 0j, 0.0, 2.0]])
+    sizes = np.array([1.0, 2.0, 3.0])
+    M0 = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 3.0, 1.0]])
+    values, profiles, steps, _ = _power_method(A, sizes, 1.5, 3.0, M0, nonneg)
+    want_values, want_steps = _one_start_runs(A, sizes, 1.5, 3.0, M0, nonneg)
+    assert values[0] == 0 and steps[0] == 0
+    assert np.array_equal(profiles[0], M0[0] / 2 ** (1 / 1.5))
+    assert np.array_equal(steps, want_steps)
+    assert np.all(np.abs(values - want_values) <= 1e-12 * want_values)
+
+
+def test_power_method_does_not_overflow_on_a_large_matrix():
+    # p' = 6 raises |A^H psi_r(A M)| to the 4th power; each row is divided
+    # by its largest entry first, so a power-of-2 scale of A (exact in
+    # floating point) drops out exactly at r = 2
+    v = build_variety(FieldCtx(5, 3), "paraboloid")
+    A, sizes = _search_inputs(v, ExponentPair(F(6, 5), F(2)))
+    M0 = _starts(5, 10, 0, nonneg=False)
+    values, profiles, steps, _ = _power_method(A, sizes, 1.2, 2.0, M0, False)
+    big = _power_method(2.0**330 * A, sizes, 1.2, 2.0, M0, False)
+    assert np.array_equal(big[0], 2.0**330 * values)
+    assert np.array_equal(big[1], profiles) and np.array_equal(big[2], steps)
+
+
+def test_tied_counts_values_within_1e9_of_the_best():
+    values = np.array([2.0, 2.0 * (1 - 5e-10), 2.0 * (1 - 5e-9), 1.0, 2.0])
+    assert _tied(values) == 3
+
+
+def test_default_starts_are_deltas_constant_then_seeded_draws():
+    q, seed = 5, 7
+    M0 = _starts(q, q + 5, seed, nonneg=False)
+    assert np.array_equal(M0[:q], np.eye(q)) and np.array_equal(M0[q], np.ones(q))
+    rng = np.random.default_rng(seed)
+    for row in M0[q + 1:]:
+        assert np.array_equal(row, rng.standard_normal(q) + 1j * rng.standard_normal(q))
+    rng = np.random.default_rng(seed)
+    for row in _starts(q, q + 5, seed, nonneg=True)[q + 1:]:
+        assert np.array_equal(row, rng.random(q))
+    assert np.array_equal(_starts(q, 3, seed, nonneg=False), np.eye(q)[:3])
+
+
+def test_search_counts_capped_and_tied_starts():
+    v = build_variety(FieldCtx(7, 3), "paraboloid")
+    pair = ExponentPair(F(6, 5), F(3))
+    A, sizes = _search_inputs(v, pair)
+    M0 = _starts(7, 12, 0, nonneg=False)
+    values, _, steps, capped = _power_method(A, sizes, 1.2, 3.0, M0, False)
+    assert capped == 0
+    rep = rnorm_search(v, pair)
+    assert rep.capped == 0
+    assert rep.tied == int((values >= values.max() * (1 - 1e-9)).sum()) >= 1
+    cap = 2
+    assert (steps > cap).any() and (steps <= cap).any()
+    with _step_cap(cap):
+        assert rnorm_search(v, pair).capped == int((steps > cap).sum())
 
 
 def test_compare_sign_modes_returns_flag():
