@@ -29,6 +29,7 @@ from .spheres import (
     sphere_count_closed,
     sphere_ft_closed,
     sphere_ft_closed_grid,
+    sphere_ft_counted,
     sphere_ft_kernel,
     sphere_ft_naive,
     sphere_ft_naive_grid,

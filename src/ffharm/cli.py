@@ -86,6 +86,16 @@ _dimension = _int_at_least("d", 2)
 _seed = _int_at_least("seed", 0)
 
 
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _odd_prime_list(text: str) -> list[int]:
     return [_odd_prime(part) for part in text.split(",") if part.strip()]
 
@@ -175,21 +185,27 @@ def _run_sphere_ft(args) -> int:
 
 
 def cmd_verify_lemma1(q_list: Sequence[int], d_list: Sequence[int], tol: float = 1e-6) -> int:
-    """Exhaustive naive-vs-closed sphere transform comparison per (q, d)."""
-    worst = 0.0
+    """Exhaustive brute-force-vs-closed sphere transform comparison per (q, d).
+
+    Every pair's grid budget is checked before any pair runs, so a request
+    with one pair over ``GRID_BUDGET`` raises ``TooLarge`` with nothing
+    printed; so does a bad ``tol`` (``ValueError``, from the first pair).
+    """
+    contexts = [FieldCtx(q, d) for q in q_list for d in d_list]
+    for ctx in contexts:
+        ctx.check_budget()
+    errors = []
     failed = False
-    for q in q_list:
-        for d in d_list:
-            ctx = FieldCtx(q, d)
-            max_err, first_bad = verify_closed_form(ctx, tol=tol)
-            worst = max(worst, max_err)
-            if first_bad is None:
-                print(f"q={q} d={d}  max_err={max_err:.3e}  {PASS}")
-            else:
-                failed = True
-                j, x = first_bad
-                print(f"q={q} d={d}  max_err={max_err:.3e}  {FAIL}  first j={j} x={x}")
-    print(f"overall max_err={worst:.3e}")
+    for ctx in contexts:
+        max_err, first_bad = verify_closed_form(ctx, tol=tol)
+        errors.append(max_err)
+        if first_bad is None:
+            print(f"q={ctx.q} d={ctx.d}  max_err={max_err:.3e}  {PASS}")
+        else:
+            failed = True
+            j, x = first_bad
+            print(f"q={ctx.q} d={ctx.d}  max_err={max_err:.3e}  {FAIL}  first j={j} x={x}")
+    print(f"overall max_err={np.max(errors, initial=0.0):.3e}")  # NaN if any pair's is
     return 1 if failed else 0
 
 
@@ -480,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vl = sphere_sub.add_parser("verify-lemma1")
     p_vl.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
     p_vl.add_argument("--d", type=_dimension_list, required=True, help="comma-separated dimensions")
-    p_vl.add_argument("--tol", type=float, default=1e-6)
+    p_vl.add_argument("--tol", type=_positive_finite, default=1e-6)
     p_vl.set_defaults(func=_run_verify_lemma1)
 
     p_var = sub.add_parser("variety", help="build varieties and check the S_0 intersection")

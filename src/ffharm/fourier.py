@@ -8,10 +8,14 @@ axes, one size-q matrix per axis, which is the whole asymptotic win
 scale, so each axis stage is a plain matrix product.
 
 ``character_sums`` is the one brute-force loop behind ``ft_naive`` and
-the naive sphere transform.  It still forms every term chi(-m . x) on
-its own and factors nothing through the axes, so it stays independent of
-``ft_fast`` and of the closed form; it only reads each dot from per-axis
-tables and each character value from one table, in cache-sized chunks.
+``spheres.sphere_ft_naive_grid``.  It still forms every term chi(-m . x)
+on its own and factors nothing through the axes, so it stays independent
+of ``ft_fast`` and of the closed form; it only reads each dot from
+per-axis tables and each character value from one table, in cache-sized
+chunks.  ``verify_closed_form`` runs ``spheres.sphere_ft_counted``
+instead, which sums exact dot counts per line through the origin in
+chunks of the same ``NAIVE_BUDGET``; ``sphere_ft_naive_grid`` is its
+oracle.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ import numpy as np
 from .field import FieldCtx
 from .errors import DimensionMismatch, SideMismatch
 
-# Entries of the m.x table that character_sums holds at once.  At 2^16 the
-# int64 dots (512 KiB) and their complex character values (1 MiB) stay in a
-# 2 MiB L2 cache; on a 2-vCPU Xeon VM the certify workload's sphere sums
-# took 1.2 s at 2^16 against 3.4 s at 2^22 (2^15 and 2^17 were within 20%).
+# Entries of the m.x table that character_sums (and spheres.sphere_ft_counted)
+# holds at once.  At 2^16 the int64 dots (512 KiB) and their complex
+# character values (1 MiB) stay in a 2 MiB L2 cache; on a 2-vCPU Xeon VM the
+# certify workload's sphere sums, then run by character_sums, took 1.2 s at
+# 2^16 against 3.4 s at 2^22 (2^15 and 2^17 were within 20%).
 NAIVE_BUDGET = 1 << 16
 
 
@@ -94,7 +99,7 @@ def character_sums(ctx: FieldCtx, m: np.ndarray, weights: np.ndarray) -> np.ndar
     chi(-k mod q) comes from one table over that range.  The x rows go in
     chunks of max(1, NAIVE_BUDGET // n), so the per-chunk temporaries stay
     cache-sized for any n; the tables hold d q n entries.  Both
-    brute-force oracles, ``ft_naive`` and ``sphere_ft_naive_grid``, are
+    term-by-term oracles, ``ft_naive`` and ``sphere_ft_naive_grid``, are
     this loop.
     """
     q, d = ctx.q, ctx.d

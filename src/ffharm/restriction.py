@@ -298,7 +298,13 @@ def _starts(q: int, n_starts: int, seed: int, nonneg: bool) -> np.ndarray:
 
 
 def _power_method(
-    A: np.ndarray, sizes: np.ndarray, pf: float, rf: float, M0: np.ndarray, nonneg: bool
+    A: np.ndarray,
+    sizes: np.ndarray,
+    pf: float,
+    rf: float,
+    M0: np.ndarray,
+    nonneg: bool,
+    vanishing: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Power-method runs from every row of M0, iterated together.
 
@@ -308,7 +314,9 @@ def _power_method(
     (sum_j sizes_j |M_j|^p)^(1/p), so ||A M||_r is the ratio when A's rows
     carry the measure.  A start leaves the batch as soon as its own stop
     rule fires, so it follows the path a run from it alone would take, up
-    to rounding.
+    to rounding.  Starts flagged in the boolean mask ``vanishing`` have
+    A M = 0 in exact arithmetic: they get the value 0 after 0 steps, since
+    a run from them would follow rounding noise.
     """
 
     def unit(M: np.ndarray) -> np.ndarray:
@@ -331,7 +339,11 @@ def _power_method(
     values = r_norm(G)
     steps = np.full(len(profiles), _POWER_STEPS)
     live = np.arange(len(profiles))  # the start behind each row of G
-    value = values.copy()
+    if vanishing is not None:
+        values[vanishing], steps[vanishing] = 0.0, 0
+        live = live[~vanishing]
+        G = G[live]
+    value = values[live]
     for k in range(_POWER_STEPS):
         Y = _psi(G, rf) @ Ah
         Y /= sizes  # row i is A^H psi_r(A M_i) / |S|
@@ -386,8 +398,11 @@ def rnorm_search(
     it over the cone); fixed points are critical points of the ratio.  A
     start stops when the map returns 0, when a step fails to raise the
     ratio or raises it by at most 1e-13 relative, or after 10,000 steps.
-    The report counts the starts that reached that cap (``capped``) and
-    the starts that ended within 1e-9 relative of the best (``tied``).
+    On a variety without the origin the constant start is not iterated:
+    its transform is a point mass at 0, so its exact value 0 is reported
+    after 0 steps.  The report counts the starts that reached the cap
+    (``capped``) and the starts that ended within 1e-9 relative of the best
+    (``tied``).
 
     At p = 1 the ratio is convex on the weighted l1 ball, so its maximum
     is at a vertex, a normalized single sphere: the best of those q
@@ -423,9 +438,13 @@ def rnorm_search(
 
     n_starts = config.starts if config.starts is not None else q + 5
     M0 = _starts(q, n_starts, config.seed, nonneg)
+    # the constant profile (row q) transforms to a point mass at the origin,
+    # so A M = 0 exactly on a variety without 0
+    vanishing = np.zeros(n_starts, dtype=bool)
+    vanishing[q : q + 1] = not v.contains_zero
     # with the measure folded into A, ||A M||_r is the ratio at unit M
     A = A / v.cardinality ** (1.0 / rf)
-    values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg)
+    values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
     best = int(np.argmax(values))  # the first maximum: ties keep the earliest start
     return RestrictionReport(
         v.label, q, ctx.d, pair, "MultiStart", float(values[best]), int(steps.sum()),

@@ -9,19 +9,23 @@ set.  ``sphere_ft_closed`` evaluates the exponential-sum expression
 with G the Gauss sum at parameter 1, K the Kloosterman sum and S the
 Salie sum.  ``verify_closed_form`` compares the two routes exhaustively;
 agreement over all (j, x) is the correctness certificate for the closed
-route, which the restriction machinery then relies on for speed.
+route, which the restriction machinery then relies on for speed.  Its
+brute-force side is ``sphere_ft_counted``: exact integer counts of the
+dots m . x, one x per line through the origin, with
+``sphere_ft_naive_grid`` (every term chi(-m . x) on its own) as that
+route's oracle.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from . import expsums
+from . import expsums, fourier
 from .errors import DimensionMismatch, RoundingMismatch
 from .field import FieldCtx, cyclic_convolve, inv, norm_form
-from .fourier import character_sums
 
 
 class Sphere:
@@ -83,7 +87,68 @@ def sphere_ft_naive(sphere: Sphere, x: Sequence[int]) -> complex:
 
 def sphere_ft_naive_grid(sphere: Sphere) -> np.ndarray:
     """Brute-force transform at every dual point, lex order."""
-    return character_sums(sphere.ctx, sphere.points, np.ones(sphere.cardinality))
+    return fourier.character_sums(sphere.ctx, sphere.points, np.ones(sphere.cardinality))
+
+
+def _lines(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The lines through the origin of F_q^d, one row each.
+
+    Returns the representatives x' (first nonzero coordinate 1) as a
+    ((q^d - 1)/(q - 1), d) array in lex order, and the lex flat index of
+    lambda x' for lambda = 1, ..., q - 1 in the matching rows.  Together
+    the rows cover every nonzero point exactly once.
+    """
+    q, d = ctx.q, ctx.d
+    # lines led by coordinate d - 1 - k: lex flat indices q^k .. 2 q^k - 1
+    reps = ctx.grid_points()[np.concatenate([q**k + np.arange(q**k) for k in range(d)])]
+    scaled = np.outer(np.arange(q), np.arange(1, q)) % q  # [a, lambda - 1] = lambda a mod q
+    flat = scaled[reps[:, 0]] * q ** (d - 1)
+    for i in range(1, d):
+        flat += scaled[reps[:, i]] * q ** (d - 1 - i)
+    return reps, flat
+
+
+def sphere_ft_counted(sphere: Sphere) -> np.ndarray:
+    """Brute-force transform at every dual point from exact dot counts, lex order.
+
+    For x = 0 the value is |S_j|.  Every other x is lambda x' for one
+    lambda in F_q^* and one representative x' of its line through the
+    origin (``_lines``).  For each x' the count
+    c[k] = #{m in S_j : m . x' = k} is taken exactly in integers, and since
+    m . (lambda x') = lambda (m . x'), the whole line follows as
+    sum_k c[k] chi(-lambda k).  Each dot m . x' is summed term by term from
+    d per-axis int32 tables A_i[a, m] = a m_i mod q, so it lies in
+    [0, d(q - 1)] and the counts run over that range.  The representatives
+    go in chunks of max(1, NAIVE_BUDGET // |S_j|), each counted by one
+    bincount and turned into values by one small matrix product.
+
+    No Gauss, Kloosterman or Salie sum enters, and nothing is factored
+    through the axes: every pair (m, x') is visited, so the route stays
+    independent of the closed form and of ``ft_fast``.  It visits
+    q^{d-1} |S_j| pairs where ``sphere_ft_naive_grid`` forms q^d |S_j|
+    terms.  The output starts as NaN, so an x the line map missed fails
+    any comparison.
+    """
+    ctx = sphere.ctx
+    q, d = ctx.q, ctx.d
+    m = sphere.points
+    out = np.full(ctx.size, np.nan, dtype=np.complex128)
+    out[0] = sphere.cardinality
+    reps, line_flat = _lines(ctx)
+    span = d * (q - 1) + 1  # dots lie in [0, span)
+    chi_line = ctx.chars.chi_values[-np.outer(np.arange(span), np.arange(1, q)) % q]
+    axis = np.arange(q, dtype=np.int64)
+    tables = [(np.outer(axis, m[:, i]) % q).astype(np.int32) for i in range(d)]
+    chunk = max(1, fourier.NAIVE_BUDGET // len(m))  # S_j is never empty for d >= 2
+    for lo in range(0, len(reps), chunk):
+        rows = reps[lo : lo + chunk]
+        dots = tables[0][rows[:, 0]]
+        for i in range(1, d):
+            dots += tables[i][rows[:, i]]
+        dots += (span * np.arange(len(rows), dtype=np.int32))[:, None]  # one bin range per row
+        counts = np.bincount(dots.ravel(), minlength=len(rows) * span)
+        out[line_flat[lo : lo + chunk]] = counts.reshape(len(rows), span) @ chi_line
+    return out
 
 
 def _closed_tail(ctx: FieldCtx, j: int, t: int) -> complex:
@@ -151,22 +216,28 @@ def sphere_count_closed(ctx: FieldCtx, j: int, tol: float = 1e-6) -> int:
 def verify_closed_form(
     ctx: FieldCtx, tol: float = 1e-6
 ) -> tuple[float, tuple[int, tuple[int, ...]] | None]:
-    """Exhaustive naive-vs-closed comparison over all j and all x.
+    """Exhaustive brute-force-vs-closed comparison over all j and all x.
 
-    Returns the maximum absolute discrepancy and the first (j, x) whose
-    error exceeds ``tol`` (None when every point agrees).
+    The brute-force side is ``sphere_ft_counted``; the closed side reads
+    one kernel table, built once.  Returns the maximum absolute
+    discrepancy (NaN if any value is NaN) and the first (j, x) whose error
+    is not at most ``tol`` (None when every point agrees), so a NaN anywhere
+    is a failure.  ``tol`` must be finite and > 0.
     """
-    max_err = 0.0
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
+    kernel = sphere_ft_kernel(ctx)
+    norms = ctx.grid_norms()
+    worst = []
     first_bad = None
     for j in range(ctx.q):
-        naive = sphere_ft_naive_grid(enumerate_sphere(ctx, j))
-        closed = sphere_ft_closed_grid(ctx, j)
-        err = np.abs(naive - closed)
-        jmax = float(err.max())
-        if jmax > max_err:
-            max_err = jmax
-        if first_bad is None and jmax > tol:
-            flat = int(np.argmax(err > tol))
-            x = tuple(int(c) for c in ctx.grid_points()[flat])
+        brute = sphere_ft_counted(enumerate_sphere(ctx, j))
+        closed = kernel[j][norms]
+        closed[0] += ctx.q ** (ctx.d - 1)  # flat index 0 is the origin
+        err = np.abs(brute - closed)
+        worst.append(err.max())
+        bad = ~(err <= tol)
+        if first_bad is None and bad.any():
+            x = tuple(int(c) for c in ctx.grid_points()[int(np.argmax(bad))])
             first_bad = (j, x)
-    return max_err, first_bad
+    return float(np.max(worst)), first_bad  # np.max keeps a NaN

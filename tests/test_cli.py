@@ -8,6 +8,7 @@ import pytest
 
 import ffharm.cli
 import ffharm.expsums
+import ffharm.spheres
 from ffharm import (
     ExponentPair,
     FieldCtx,
@@ -82,6 +83,45 @@ def test_verify_lemma1_catches_tampered_gauss(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "first j=" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6", "x"])
+def test_verify_lemma1_bad_tol_exits_2(tol, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sphere", "verify-lemma1", "--q", "3", "--d", "2", "--tol", tol])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
+
+
+def test_verify_lemma1_checks_every_budget_before_any_pair(monkeypatch, capsys):
+    def no_verify(*args, **kwargs):
+        raise AssertionError("a pair ran before the budget check")
+
+    monkeypatch.setattr(ffharm.cli, "verify_closed_form", no_verify)
+    assert main(["sphere", "verify-lemma1", "--q", "3,10007", "--d", "2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "q^2 = 100140049 exceeds the enumeration budget" in captured.err
+
+
+def test_verify_lemma1_nan_is_a_failure(monkeypatch, capsys):
+    real_kernel = ffharm.spheres.sphere_ft_kernel
+
+    def with_nan(ctx):
+        K = real_kernel(ctx)
+        if ctx.q == 5:
+            K[1, 2] = np.nan
+        return K
+
+    monkeypatch.setattr(ffharm.spheres, "sphere_ft_kernel", with_nan)
+    assert cmd_verify_lemma1([3, 5], [2]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("q=3 d=2  max_err=") and out[0].endswith("  PASS")
+    # (1, 1) is the first point of norm 2 in lex order at q = 5
+    assert out[1] == "q=5 d=2  max_err=nan  FAIL  first j=1 x=(1, 1)"
+    # a NaN after a finite error still shows in the overall line
+    assert out[2] == "overall max_err=nan"
 
 
 def test_variety_info_and_intersect(capsys):

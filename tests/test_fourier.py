@@ -14,6 +14,7 @@ from ffharm import (
     ft_fast,
     ft_naive,
     ift,
+    sphere_ft_counted,
     sphere_ft_naive_grid,
 )
 from ffharm import fourier
@@ -137,12 +138,15 @@ def test_oracles_independent_of_chunk_budget(monkeypatch):
         return (
             [ft_naive(f).values]
             + [sphere_ft_naive_grid(s) for s in spheres]
+            + [sphere_ft_counted(s) for s in spheres]
             + [fourier.character_sums(ctx, m, weights)]
         )
 
     default = oracles()
-    # 1 is below one row, so every chunk holds a single x; at 1000 the
-    # chunks hold several x and the last one is partial
+    # 1 is below one row, so every chunk holds a single x (a single line
+    # for sphere_ft_counted); at 1000 the chunks hold several and the last
+    # one is partial.  The values agree to rounding: a one-row chunk's
+    # product may take another BLAS path than a many-row one.
     for budget in (1, 1000):
         monkeypatch.setattr(fourier, "NAIVE_BUDGET", budget)
         for a, b in zip(oracles(), default):

@@ -465,6 +465,11 @@ def _search_inputs(v, pair):
     return A, sphere_sizes(v.ctx).astype(np.float64)
 
 
+def _vanishing_starts(v, n_starts):
+    """The mask rnorm_search passes: the constant start (row q) when 0 is not in V."""
+    return (np.arange(n_starts) == v.ctx.q) & (not v.contains_zero)
+
+
 def _one_start_runs(A, sizes, pf, rf, M0, nonneg):
     """(values, steps) of _ascend from each row of M0."""
     runs = [_ascend(A, sizes, pf, rf, M, nonneg) for M in M0]
@@ -508,17 +513,19 @@ def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed
     M0 = _starts(q, n_starts, seed, nonneg)
     assert M0.shape == (n_starts, q)
     A, sizes = _search_inputs(v, pair)
-    values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg)
+    vanishing = _vanishing_starts(v, n_starts)
+    values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
     rep = rnorm_search(v, pair, SearchConfig(starts=n_starts, seed=seed, sign_mode=sign_mode))
     best = int(np.argmax(values))
     assert rep.estimate == values[best] and np.array_equal(rep.profile, profiles[best])
     assert rep.iterations == steps.sum() and rep.capped == capped == 0
 
     want_values, want_steps = _one_start_runs(A, sizes, pf, rf, M0, nonneg)
-    # Two kinds of start end wherever rounding sends them, so the batched run
-    # and the one-start loop, which round differently, need not agree there:
+    # Two kinds of start end wherever rounding sends them in the one-start
+    # loop, so the batched run need not agree with it there:
     # - a start with A M = 0 in exact arithmetic (the constant profile on a
-    #   variety without the origin) takes its first step along rounding noise;
+    #   variety without the origin) takes its first step along rounding
+    #   noise; the batched run stops it at 0 instead;
     # - a start that passes near a saddle of the ratio leaves it along
     #   whichever unstable direction rounding picks.
     # The first has a start ratio at rounding level; the second shows up as
@@ -545,7 +552,7 @@ def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed
                 at_shorter = _one_start_runs(A, sizes, pf, rf, M0[i:i + 1], nonneg)[0][0]
                 longer = want_values[i]
             else:
-                at_shorter = _power_method(A, sizes, pf, rf, M0, nonneg)[0][i]
+                at_shorter = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)[0][i]
                 longer = values[i]
         assert longer / at_shorter - 1 <= abs(steps[i] - want_steps[i]) * 2e-13
     if regular.any():
@@ -583,6 +590,32 @@ def test_start_with_a_zero_transform_stops_at_step_0(nonneg):
     assert np.array_equal(profiles[0], M0[0] / 2 ** (1 / 1.5))
     assert np.array_equal(steps, want_steps)
     assert np.all(np.abs(values - want_values) <= 1e-12 * want_values)
+
+
+@pytest.mark.parametrize("case", _VARIETIES)
+@pytest.mark.parametrize("sign_mode", ["signed", "nonneg"])
+def test_constant_start_off_the_origin_is_0_after_0_steps(case, sign_mode):
+    q, d, name = case
+    v = build_variety(FieldCtx(q, d), name)
+    # the constant profile's transform is q^d at the origin and 0 elsewhere
+    constant = radial_matrix(v) @ np.ones(q)
+    assert np.abs(constant[int(v.contains_zero):]).max(initial=0.0) <= 1e-9 * q**d
+    pair = ExponentPair(F(3, 2), F(2))
+    nonneg = sign_mode == "nonneg"
+    A, sizes = _search_inputs(v, pair)
+    M0 = _starts(q, q + 5, 0, nonneg)
+    vanishing = _vanishing_starts(v, q + 5)
+    assert vanishing.sum() == (not v.contains_zero)
+    values, profiles, steps, _ = _power_method(A, sizes, 1.5, 2.0, M0, nonneg, vanishing)
+    if not v.contains_zero:
+        unit = M0[q] / float(sizes.sum()) ** (1 / 1.5)
+        assert values[q] == 0 and steps[q] == 0 and np.allclose(profiles[q], unit)
+    # the other starts run as they would without the mask
+    rest = ~vanishing
+    alone = _power_method(A, sizes, 1.5, 2.0, M0[rest], nonneg)
+    assert np.array_equal(values[rest], alone[0]) and np.array_equal(steps[rest], alone[2])
+    rep = rnorm_search(v, pair, SearchConfig(sign_mode=sign_mode))
+    assert rep.estimate == values.max() and rep.iterations == steps.sum()
 
 
 def test_power_method_does_not_overflow_on_a_large_matrix():

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ffharm.spheres
 from ffharm import (
     DimensionMismatch,
     FieldCtx,
@@ -11,13 +16,14 @@ from ffharm import (
     sphere_count_closed,
     sphere_ft_closed,
     sphere_ft_closed_grid,
+    sphere_ft_counted,
     sphere_ft_kernel,
     sphere_ft_naive,
     sphere_ft_naive_grid,
     sphere_sizes,
     verify_closed_form,
 )
-from ffharm.spheres import _closed_tail
+from ffharm.spheres import _closed_tail, _lines
 
 
 def test_enumeration_examples():
@@ -171,3 +177,136 @@ def test_sphere_sizes_exact_below_int64_limit():
     # |S_0| = q^(d-1) + (q-1) q^((d-2)/2) and |S_j| = q^(d-1) - q^((d-2)/2)
     assert int(sizes[0]) == q**5 + (q - 1) * q**2
     assert (sizes[1:] == q**5 - q**2).all()
+
+
+# ---------------------------------------------------------------------------
+# the counted brute-force route against the term-by-term one
+
+# every (q, d) with q^{2d} <= 10^9 for q in {3, 5, 7, 11, 13}, d in 2..5
+_COUNTED_CASES = [
+    (q, d) for q in (3, 5, 7, 11, 13) for d in range(2, 6) if q ** (2 * d) <= 10**9
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_COUNTED_CASES), st.integers(0, 12))
+def test_counted_route_matches_naive_grid(case, j):
+    q, d = case
+    s = enumerate_sphere(FieldCtx(q, d), j % q)
+    counted = sphere_ft_counted(s)
+    assert counted.shape == (q**d,) and counted.dtype == np.complex128
+    assert np.abs(counted - sphere_ft_naive_grid(s)).max() < 1e-11
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 3), (7, 3), (3, 5)])
+def test_counted_route_matches_naive_grid_for_every_j(q, d):
+    ctx = FieldCtx(q, d)
+    for j in range(q):
+        s = enumerate_sphere(ctx, j)
+        assert np.abs(sphere_ft_counted(s) - sphere_ft_naive_grid(s)).max() < 1e-11
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (3, 4), (5, 3), (7, 2), (7, 4), (11, 3)])
+def test_lines_cover_every_nonzero_x_once(q, d):
+    ctx = FieldCtx(q, d)
+    reps, flat = _lines(ctx)
+    assert reps.shape == ((q**d - 1) // (q - 1), d) and flat.shape == (len(reps), q - 1)
+    # first nonzero coordinate 1, lex order
+    assert (reps[np.arange(len(reps)), np.argmax(reps != 0, axis=1)] == 1).all()
+    rep_flat = [ctx.flat_index(r) for r in reps]
+    assert rep_flat == sorted(rep_flat) and np.array_equal(flat[:, 0], rep_flat)
+    # row i holds lambda x'_i at column lambda - 1, and every x != 0 appears once
+    pts = ctx.grid_points()
+    for lam in range(1, q):
+        assert np.array_equal(pts[flat[:, lam - 1]], (lam * reps) % q)
+    assert np.array_equal(np.sort(flat.ravel()), np.arange(1, q**d))
+
+
+# ---------------------------------------------------------------------------
+# verify_closed_form against the per-j loop it replaced
+
+
+def _verify_per_j(ctx, tol=1e-6):
+    """The per-j loop verify_closed_form ran before the counted route.
+
+    It compares the term-by-term brute force with a closed-form grid whose
+    kernel table is rebuilt for every j.  Only its failure rule is the new
+    one: an error that is not at most tol (NaN included) fails.
+    """
+    errors = []
+    first_bad = None
+    for j in range(ctx.q):
+        naive = sphere_ft_naive_grid(enumerate_sphere(ctx, j))
+        closed = sphere_ft_closed_grid(ctx, j)
+        err = np.abs(naive - closed)
+        errors.append(err.max())
+        bad = ~(err <= tol)
+        if first_bad is None and bad.any():
+            first_bad = (j, tuple(int(c) for c in ctx.grid_points()[int(np.argmax(bad))]))
+    return float(np.max(errors)), first_bad
+
+
+_VERIFY_CASES = [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (3, 4), (7, 3)]
+
+
+@pytest.mark.parametrize("q,d", _VERIFY_CASES)
+def test_verify_matches_per_j_loop(q, d):
+    ctx = FieldCtx(q, d)
+    max_err, first_bad = verify_closed_form(ctx)
+    want_err, want_bad = _verify_per_j(ctx)
+    assert first_bad is None and want_bad is None
+    assert max_err < 1e-12 and want_err < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(_VERIFY_CASES), st.integers(0, 2**32 - 1), st.sampled_from(["shift", "nan"])
+)
+def test_tampered_kernel_fails_both_routes_at_the_same_point(case, seed, kind):
+    q, d = case
+    ctx = FieldCtx(q, d)
+    rng = np.random.default_rng(seed)
+    j, t = (int(a) for a in rng.integers(0, q, size=2))
+    shift = 1e-3 * np.exp(2j * np.pi * rng.random())
+    real_kernel = ffharm.spheres.sphere_ft_kernel
+
+    def tampered(ctx):
+        K = real_kernel(ctx)
+        K[j, t] = np.nan if kind == "nan" else K[j, t] + shift
+        return K
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffharm.spheres, "sphere_ft_kernel", tampered)
+        max_err, first_bad = verify_closed_form(ctx)
+        want_err, want_bad = _verify_per_j(ctx)
+    # only row j changed, and the first x it reaches is the first of norm t
+    # (the origin when t = 0)
+    x = ctx.grid_points()[int(np.argmax(ctx.grid_norms() == t))]
+    assert first_bad == want_bad == (j, tuple(int(c) for c in x))
+    if kind == "nan":
+        assert math.isnan(max_err) and math.isnan(want_err)
+    else:
+        assert abs(max_err - 1e-3) < 1e-9 and abs(want_err - 1e-3) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_verify_rejects_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        verify_closed_form(FieldCtx(3, 2), tol=tol)
+
+
+def test_verify_fails_on_a_nan_brute_force_value(monkeypatch):
+    # a NaN on the brute-force side is a failure too, never a pass
+    real_counted = ffharm.spheres.sphere_ft_counted
+
+    def with_nan(sphere):
+        out = real_counted(sphere)
+        if sphere.j == 2:
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(ffharm.spheres, "sphere_ft_counted", with_nan)
+    ctx = FieldCtx(3, 2)
+    max_err, first_bad = verify_closed_form(ctx, tol=1.0)
+    assert math.isnan(max_err)
+    assert first_bad == (2, tuple(int(c) for c in ctx.grid_points()[7]))
