@@ -97,11 +97,17 @@ def _positive_finite(text: str) -> float:
 
 
 def _odd_prime_list(text: str) -> list[int]:
-    return [_odd_prime(part) for part in text.split(",") if part.strip()]
+    qs = [_odd_prime(part) for part in text.split(",") if part.strip()]
+    if not qs or len(set(qs)) < len(qs):
+        raise argparse.ArgumentTypeError(f"need distinct comma-separated primes, got {text!r}")
+    return qs
 
 
 def _dimension_list(text: str) -> list[int]:
-    return [_dimension(part) for part in text.split(",") if part.strip()]
+    ds = [_dimension(part) for part in text.split(",") if part.strip()]
+    if not ds or len(set(ds)) < len(ds):
+        raise argparse.ArgumentTypeError(f"need distinct comma-separated dimensions, got {text!r}")
+    return ds
 
 
 def _vector(text: str) -> list[int]:
@@ -187,13 +193,18 @@ def _run_sphere_ft(args) -> int:
 def cmd_verify_lemma1(q_list: Sequence[int], d_list: Sequence[int], tol: float = 1e-6) -> int:
     """Exhaustive brute-force-vs-closed sphere transform comparison per (q, d).
 
-    Every pair's grid budget is checked before any pair runs, so a request
-    with one pair over ``GRID_BUDGET`` raises ``TooLarge`` with nothing
-    printed; so does a bad ``tol`` (``ValueError``, from the first pair).
+    Every pair's budget is checked before any pair runs: the check visits
+    about q^(2d-1) (m, x) pairs, so a request with one pair whose q^(2d-1)
+    exceeds ``GRID_BUDGET`` raises ``TooLarge`` with nothing printed.  An
+    empty or repeated list of q or d raises ``ValueError`` up front too; a
+    bad ``tol`` raises it from the first pair, also before any output.
     """
+    for name, values in (("q", q_list), ("d", d_list)):
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"need a nonempty list of distinct {name} values, got {list(values)}")
     contexts = [FieldCtx(q, d) for q in q_list for d in d_list]
     for ctx in contexts:
-        ctx.check_budget()
+        ctx.check_budget(2 * ctx.d - 1)
     errors = []
     failed = False
     for ctx in contexts:
@@ -316,6 +327,8 @@ class ScanSpec:
     out: str = "scan.csv"
 
     def __post_init__(self):
+        if not self.qs or len(set(self.qs)) < len(self.qs):
+            raise ValueError(f"scan needs a nonempty list of distinct q values, got {self.qs}")
         for q in self.qs:
             if not is_odd_prime(q):
                 raise ValueError(f"scan q values must be odd primes, got {q}")

@@ -8,8 +8,9 @@ a small, explicitly computable optimization problem:
     maximize  || A M ||_{L^r(V, dsigma)}  /  (sum_j |M_j|^p |S_j|)^{1/p}
 
 with A[x, j] the transform of the radius-j sphere indicator at x in V.
-Every routine reads A through its distinct rows, one per norm class of V
-(``_class_rows``).  ``rnorm_exact_22`` solves the Euclidean case p = r = 2
+Every routine reads A through its distinct rows, one per norm class of V,
+with the measure dsigma folded in (``_class_rows``), and takes every norm
+with ``_weighted_norm``.  ``rnorm_exact_22`` solves the Euclidean case p = r = 2
 exactly (top singular value, by one dense Hermitian eigensolve);
 ``rnorm_search`` lower-bounds the general case by the multi-start
 nonlinear power method for p -> r norms (Boyd 1974; Higham 1992), all
@@ -156,35 +157,40 @@ def lift_radial(profile: RadialProfile) -> GridFunction:
     return GridFunction(ctx, profile.coeffs[ctx.grid_norms()], Side.PrimalCounting)
 
 
-def _weighted_norm(values: np.ndarray, weights: np.ndarray, p: Exponent) -> float:
-    """(sum_i weights_i |values_i|^p)^{1/p}; the max over positive weights at p = inf."""
-    a = np.abs(np.asarray(values))
+def _weighted_norm(
+    values: np.ndarray, weights: np.ndarray, p: Exponent
+) -> Union[float, np.ndarray]:
+    """(sum_i weights_i |values_i|^p)^{1/p} along the last axis, one value per
+    row of a 2-D input; the max over positive weights at p = inf."""
+    a = np.abs(np.asarray(values)).astype(np.float64, copy=False)
     weights = np.asarray(weights)
     if weights.size == 0:
         raise EmptyVariety("norm over an empty point set")
-    if a.shape != weights.shape:
+    if a.shape[-1:] != weights.shape:
         raise ValueError(f"need one value per weight ({weights.size}), got shape {a.shape}")
     if p == math.inf:
-        return float(a[weights > 0].max(initial=0.0))
+        return a[..., weights > 0].max(axis=-1, initial=0.0)
     pf = float(p)
     if pf < 1:
         raise ValueError("p must be >= 1")
-    return float(((a**pf) * weights).sum() ** (1.0 / pf))
+    a **= pf
+    a *= weights
+    return a.sum(axis=-1) ** (1.0 / pf)
 
 
 def lp_norm_counting(f: GridFunction, p: Exponent) -> float:
     """L^p norm under counting measure; max norm at p = inf."""
-    return _weighted_norm(f.values, np.ones(f.values.size), p)
+    return float(_weighted_norm(f.values, np.ones(f.values.size), p))
 
 
 def lr_norm_sigma(g: np.ndarray, v: Variety, r: Exponent) -> float:
     """L^r norm of values on V under the normalized surface measure."""
-    return _weighted_norm(g, np.ones(v.cardinality) / v.cardinality, r)
+    return float(_weighted_norm(g, np.ones(v.cardinality) / v.cardinality, r))
 
 
 def profile_lp_norm(profile: RadialProfile, p: Exponent) -> float:
     """Same as lp_norm_counting(lift_radial(profile), p), without the lift."""
-    return _weighted_norm(profile.coeffs, sphere_sizes(profile.ctx), p)
+    return float(_weighted_norm(profile.coeffs, sphere_sizes(profile.ctx), p))
 
 
 def radial_matrix(v: Variety) -> np.ndarray:
@@ -203,13 +209,14 @@ def radial_matrix(v: Variety) -> np.ndarray:
 
 
 def _class_rows(v: Variety, r: Exponent) -> np.ndarray:
-    """The distinct rows of radial_matrix(v), each scaled by (class size)^(1/r).
+    """The distinct rows of radial_matrix(v), each scaled by (class size / |V|)^(1/r).
 
     Away from the origin row x depends only on ||x||, so one row per norm
     class present in V minus the origin stands for all of its points: with
-    the scaling, r-th power sums over these rows are sums over V.  The
-    origin row, when 0 is in V, comes first (class size 1).  At r = inf the
-    rows are unscaled, since a max over them is already the max over V.
+    the scaling, the plain r-norm of A M over these rows is the
+    L^r(V, dsigma) norm of the restricted transform.  The origin row, when 0
+    is in V, comes first (class size 1).  At r = inf the exponent 1/r is 0,
+    so the rows are unscaled and their max is the max over V.
     """
     if v.cardinality == 0:
         raise EmptyVariety(f"variety {v.label} has no points")
@@ -222,18 +229,8 @@ def _class_rows(v: Variety, r: Exponent) -> np.ndarray:
     if v.contains_zero:
         rows = np.vstack([kernel[:, 0] + ctx.q ** (ctx.d - 1), rows])
         weights = np.concatenate([[1], weights])
-    if r == math.inf:
-        return rows
-    return rows * (weights ** (1.0 / float(r)))[:, None]
-
-
-def _sigma_norm(values: np.ndarray, vcard: int, r: Exponent) -> np.ndarray:
-    """L^r(V, dsigma) norm along axis 0 of values on the rows of _class_rows(v, r)."""
-    a = np.abs(values)
-    if r == math.inf:
-        return a.max(axis=0)
-    rf = float(r)
-    return ((a**rf).sum(axis=0) / vcard) ** (1.0 / rf)
+    e = 1.0 / float(r)
+    return rows * (weights**e)[:, None] / v.cardinality**e
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +242,13 @@ def rnorm_exact_22(v: Variety) -> float:
 
     This is the largest singular value of the measure-weighted radial
     matrix.  Its square is the top eigenvalue of the q x q Gram matrix of
-    the class rows, scaled by sqrt(class size / |V|) and by |S_j|^{-1/2}
-    per radius, so one dense Hermitian eigensolve gives it; the SVD of the
-    full |V| x q weighted ``radial_matrix`` is its test oracle.
+    the class rows (``_class_rows(v, 2)``, which carry the measure) scaled
+    by |S_j|^{-1/2} per radius, so one dense Hermitian eigensolve gives it;
+    the SVD of the full |V| x q weighted ``radial_matrix`` is its test
+    oracle.
     """
     B = _class_rows(v, 2) / np.sqrt(sphere_sizes(v.ctx))
-    lam = float(np.linalg.eigvalsh(B.conj().T @ B)[-1]) / v.cardinality
+    lam = float(np.linalg.eigvalsh(B.conj().T @ B)[-1])
     return math.sqrt(max(lam, 0.0))
 
 
@@ -312,7 +310,8 @@ def _power_method(
     count, and the number of starts still running at the step cap.  Each
     profile stays on the unit ball of the weighted p-norm
     (sum_j sizes_j |M_j|^p)^(1/p), so ||A M||_r is the ratio when A's rows
-    carry the measure.  A start leaves the batch as soon as its own stop
+    carry the measure, as ``_class_rows`` does.  Both norms are
+    ``_weighted_norm``.  A start leaves the batch as soon as its own stop
     rule fires, so it follows the path a run from it alone would take, up
     to rounding.  Starts flagged in the boolean mask ``vanishing`` have
     A M = 0 in exact arithmetic: they get the value 0 after 0 steps, since
@@ -321,22 +320,15 @@ def _power_method(
 
     def unit(M: np.ndarray) -> np.ndarray:
         """M with each row scaled in place to the unit weighted-p ball."""
-        w = np.abs(M)
-        w **= pf
-        w *= sizes
-        M /= (w.sum(axis=1) ** (1.0 / pf))[:, None]
+        M /= _weighted_norm(M, sizes, pf)[:, None]
         return M
 
-    def r_norm(G: np.ndarray) -> np.ndarray:
-        a = np.abs(G)
-        a **= rf
-        return a.sum(axis=1) ** (1.0 / rf)
-
     pc = pf / (pf - 1.0)
+    ones = np.ones(len(A))
     At, Ah = A.T, A.conj()
     profiles = unit(np.array(M0, dtype=np.float64 if nonneg else np.complex128))
     G = profiles @ At  # row i is A M_i
-    values = r_norm(G)
+    values = _weighted_norm(G, ones, rf)
     steps = np.full(len(profiles), _POWER_STEPS)
     live = np.arange(len(profiles))  # the start behind each row of G
     if vanishing is not None:
@@ -357,7 +349,7 @@ def _power_method(
         Y /= top[:, None]
         cand = unit(_psi(Y, pc))
         G_cand = cand @ At
-        cand_value = r_norm(G_cand)
+        cand_value = _weighted_norm(G_cand, ones, rf)
         up = cand_value > value
         steps[live[~up]] = k + 1  # keeps the profile it had
         gain = (cand_value[up] - value[up]) / value[up]
@@ -429,7 +421,7 @@ def rnorm_search(
     nonneg = config.sign_mode == "nonneg"
 
     if pair.p == 1:
-        values = _sigma_norm(A, v.cardinality, pair.r) / sizes
+        values = _weighted_norm(A.T, np.ones(len(A)), pair.r) / sizes
         j = int(np.argmax(values))
         return RestrictionReport(
             v.label, q, ctx.d, pair, "MultiStart", float(values[j]), 0,
@@ -442,8 +434,6 @@ def rnorm_search(
     # so A M = 0 exactly on a variety without 0
     vanishing = np.zeros(n_starts, dtype=bool)
     vanishing[q : q + 1] = not v.contains_zero
-    # with the measure folded into A, ||A M||_r is the ratio at unit M
-    A = A / v.cardinality ** (1.0 / rf)
     values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
     best = int(np.argmax(values))  # the first maximum: ties keep the earliest start
     return RestrictionReport(
@@ -477,8 +467,9 @@ def witness_lower_bound(v: Variety, pair: ExponentPair) -> float:
     ctx = v.ctx
     A = _class_rows(v, pair.r)
     ip = 1.0 / float(pair.p)  # 0 at p = inf
-    spheres = _sigma_norm(A, v.cardinality, pair.r) / sphere_sizes(ctx) ** ip
-    constant = _sigma_norm(A.sum(axis=1), v.cardinality, pair.r) / float(ctx.size) ** ip
+    ones = np.ones(len(A))
+    spheres = _weighted_norm(A.T, ones, pair.r) / sphere_sizes(ctx) ** ip
+    constant = _weighted_norm(A.sum(axis=1), ones, pair.r) / float(ctx.size) ** ip
     return float(max(spheres.max(), constant))
 
 
@@ -588,7 +579,7 @@ def suf1_diagnostic(
             M = M / n
     rows = _class_rows(v, r)[int(v.contains_zero):]
     rf = float(r)
-    scale = float(ctx.q ** (ctx.d - 1))
+    scale = float(ctx.q ** (ctx.d - 1)) / v.cardinality
 
     def power_sum(values: np.ndarray) -> float:
         return float((np.abs(values) ** rf).sum() / scale)

@@ -222,8 +222,11 @@ def verify_closed_form(
     one kernel table, built once.  Returns the maximum absolute
     discrepancy (NaN if any value is NaN) and the first (j, x) whose error
     is not at most ``tol`` (None when every point agrees), so a NaN anywhere
-    is a failure.  ``tol`` must be finite and > 0.
+    is a failure.  ``tol`` must be finite and > 0.  Raises ``TooLarge``
+    when q^(2d-1), about the number of (m, x) pairs the counted route
+    visits, exceeds ``GRID_BUDGET``.
     """
+    ctx.check_budget(2 * ctx.d - 1)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
     kernel = sphere_ft_kernel(ctx)

@@ -16,9 +16,11 @@ from ffharm import (
     SearchConfig,
     Side,
     SumValue,
+    TooLarge,
     Variety,
     build_variety,
     rnorm_search,
+    verify_closed_form,
 )
 from ffharm import fourier
 from ffharm.cli import (
@@ -102,7 +104,68 @@ def test_verify_lemma1_checks_every_budget_before_any_pair(monkeypatch, capsys):
     assert main(["sphere", "verify-lemma1", "--q", "3,10007", "--d", "2,3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "q^2 = 100140049 exceeds the enumeration budget" in captured.err
+    assert "q^3 = 1002101470343 exceeds the enumeration budget" in captured.err
+
+
+def test_verify_lemma1_refuses_a_pair_whose_check_would_run_for_days(monkeypatch, capsys):
+    # 17^4 points fit the grid budget, but the check visits about 17^7 pairs
+    def no_verify(*args, **kwargs):
+        raise AssertionError("a pair ran before the budget check")
+
+    monkeypatch.setattr(ffharm.cli, "verify_closed_form", no_verify)
+    assert main(["sphere", "verify-lemma1", "--q", "3,17", "--d", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "q^7 = 410338673 exceeds the enumeration budget" in captured.err
+
+
+def test_verify_closed_form_refuses_q_to_the_2d_minus_1_over_budget():
+    with pytest.raises(TooLarge, match="q\\^7"):
+        verify_closed_form(FieldCtx(17, 4))
+
+
+_EMPTY_OR_REPEATED = [",", "", "5,5", "5,7,5"]
+
+
+@pytest.mark.parametrize(
+    "q,d,flag",
+    [(bad, "2", "--q") for bad in _EMPTY_OR_REPEATED]
+    + [("3", bad.replace("5", "3"), "--d") for bad in _EMPTY_OR_REPEATED],
+)
+def test_verify_lemma1_empty_or_repeated_list_exits_2(q, d, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sphere", "verify-lemma1", "--q", q, "--d", d])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
+@pytest.mark.parametrize("bad", _EMPTY_OR_REPEATED)
+def test_restrict_scan_empty_or_repeated_q_exits_2(tmp_path, bad, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["restrict", "scan", "--variety", "paraboloid", "--d", "3", "--q", bad,
+            "--p", "3/2", "--r", "2", "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--q" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qs,ds", [([], [2]), ([3], []), ([3, 3], [2]), ([3], [2, 3, 2])])
+def test_cmd_verify_lemma1_rejects_empty_or_repeated_lists(qs, ds, capsys):
+    with pytest.raises(ValueError, match="distinct"):
+        cmd_verify_lemma1(qs, ds)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("qs", [[], [5, 5], [5, 7, 5]])
+def test_scan_spec_rejects_empty_or_repeated_q(tmp_path, qs):
+    out = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="distinct"):
+        ScanSpec("paraboloid", 3, qs, ExponentPair(Fraction(3, 2), Fraction(2)), out=str(out))
+    assert not out.exists()
 
 
 def test_verify_lemma1_nan_is_a_failure(monkeypatch, capsys):

@@ -39,9 +39,9 @@ from ffharm.restriction import (
     _class_rows,
     _power_method,
     _psi,
-    _sigma_norm,
     _starts,
     _tied,
+    _weighted_norm,
 )
 
 F = Fraction
@@ -144,6 +144,46 @@ def test_lr_norm_requires_nonempty_variety():
         lr_norm_sigma(np.zeros(0), v, F(2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(1, 9),
+    st.one_of(st.fractions(min_value=1, max_value=6, max_denominator=5), st.just(math.inf)),
+    st.integers(0, 2**32 - 1),
+)
+def test_weighted_norm_of_a_matrix_is_the_norm_of_each_row(rows, n, p, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    weights = rng.random(n) * 10
+    weights[0] = 0.0  # a zero weight drops its column from the max at p = inf
+    values[:, 0] *= 1e6
+    norms = _weighted_norm(values, weights, p)
+    assert norms.shape == (rows,)
+    for row, norm in zip(values, norms):
+        assert abs(norm - _weighted_norm(row, weights, p)) <= 1e-14 * norm
+        if p == math.inf:
+            want = max([abs(x) for x, w in zip(row, weights) if w > 0], default=0.0)
+        else:
+            want = sum(w * abs(x) ** float(p) for x, w in zip(row, weights)) ** (1 / float(p))
+        assert abs(norm - want) <= 1e-12 * max(want, 1e-300)
+
+
+def test_weighted_norm_takes_integer_values():
+    for p in (F(1), F(5, 2), math.inf):
+        assert _weighted_norm(np.arange(-2, 3), np.ones(5), p) == _weighted_norm(
+            np.arange(-2.0, 3.0), np.ones(5), p
+        )
+
+
+def test_weighted_norm_rejects_a_shape_mismatch_and_empty_weights():
+    with pytest.raises(ValueError, match="one value per weight"):
+        _weighted_norm(np.ones((2, 3)), np.ones(4), F(2))
+    with pytest.raises(ValueError, match="one value per weight"):
+        _weighted_norm(np.ones(3), np.ones((1, 3)), math.inf)
+    for p in (F(2), math.inf):
+        with pytest.raises(EmptyVariety):
+            _weighted_norm(np.ones((2, 0)), np.ones(0), p)
+
+
 # ---------------------------------------------------------------------------
 # radial matrix
 
@@ -212,7 +252,7 @@ def test_class_weighted_objective_matches_radial_matrix(case, r, seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal(q) + 1j * rng.standard_normal(q)
     full = lr_norm_sigma(radial_matrix(v) @ M, v, r)
-    classes = _sigma_norm(rows @ M, v.cardinality, r)
+    classes = np.linalg.norm(rows @ M, float(r))  # the plain r-norm over the class rows
     assert abs(classes - full) <= 1e-9 * max(full, 1e-300)
 
 
@@ -461,7 +501,7 @@ def _ascend(A, sizes, pf, rf, M0, nonneg):
 
 def _search_inputs(v, pair):
     """The measure-scaled class rows and the sphere sizes rnorm_search iterates on."""
-    A = _class_rows(v, pair.r) / v.cardinality ** (1.0 / float(pair.r))
+    A = _class_rows(v, pair.r)
     return A, sphere_sizes(v.ctx).astype(np.float64)
 
 
@@ -854,3 +894,23 @@ def test_suf1_normalization_flag():
     manual = RadialProfile(ctx, prof.coeffs / profile_lp_norm(prof, p))
     expected = suf1_diagnostic(v, manual, F(2))
     assert np.allclose(direct, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", _VARIETIES)
+@pytest.mark.parametrize("r", [F(1), F(2), F(7, 3)])
+def test_suf1_matches_the_dense_power_sums(case, r):
+    q, d, name = case
+    ctx = FieldCtx(q, d)
+    v = build_variety(ctx, name)
+    rng = np.random.default_rng(q * d)
+    M = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    M_rest = M.copy()
+    M_rest[0] = 0
+    A = radial_matrix(v)[int(v.contains_zero):]  # the points of V minus the origin
+    rf = float(r)
+    want = [
+        float((np.abs(g) ** rf).sum()) / q ** (d - 1)
+        for g in (A @ M, A[:, 0] * M[0], A @ M_rest)
+    ]
+    got = suf1_diagnostic(v, RadialProfile(ctx, M), r)
+    assert np.allclose(got, want, rtol=1e-9, atol=0)
