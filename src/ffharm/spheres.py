@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expsums, fourier
 from .errors import DimensionMismatch, RoundingMismatch
-from .field import FieldCtx, cyclic_convolve, inv, norm_form
+from .field import FieldCtx, inv, norm_form
 
 
 class Sphere:
@@ -57,18 +57,29 @@ def enumerate_sphere(ctx: FieldCtx, j: int) -> Sphere:
 
 
 def sphere_sizes(ctx: FieldCtx) -> np.ndarray:
-    """Cardinalities (|S_j|)_{j in F_q}, exactly, without the grid.
+    """Cardinalities (|S_j|)_{j in F_q}, exactly, without the grid, in O(q).
 
-    |S_j| counts d-tuples of squares summing to j, so the sizes are the
-    d-fold cyclic convolution of the histogram of m^2 mod q (O(d q^2)).
-    ``enumerate_sphere`` and ``sphere_count_closed`` are its oracles.
+    The classical count of solutions of a diagonal quadratic form
+    (Lidl-Niederreiter, *Finite Fields*, Thms 6.26-6.27), with eta the
+    quadratic character:
+
+        d even: |S_j| = q^{d-1} + eta((-1)^{d/2}) q^{(d-2)/2} (q [j = 0] - 1)
+        d odd:  |S_j| = q^{d-1} + q^{(d-1)/2} eta((-1)^{(d-1)/2} j)
+
+    in int64, exact since every term is below q^d < 2^63.  The d-fold
+    cyclic convolution of the histogram of m^2 mod q, ``enumerate_sphere``
+    and ``sphere_count_closed`` are its oracles.
     """
     ctx.check_int64_counts()
-    q = ctx.q
-    squares = np.bincount(np.arange(q, dtype=np.int64) ** 2 % q, minlength=q)
-    sizes = squares
-    for _ in range(ctx.d - 1):
-        sizes = cyclic_convolve(sizes, squares)
+    q, d = ctx.q, ctx.d
+    half = d // 2
+    if d % 2 == 0:
+        twist = ctx.chars.eta((-1) ** half) * q ** (half - 1)
+        sizes = np.full(q, q ** (d - 1) - twist, dtype=np.int64)
+        sizes[0] += twist * q
+    else:
+        j = np.arange(q, dtype=np.int64)
+        sizes = q ** (d - 1) + q**half * ctx.chars.eta_values[(-1) ** half * j % q]
     return sizes
 
 

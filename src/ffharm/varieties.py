@@ -6,11 +6,13 @@ counts V by sphere radius without enumerating F_q^d.  The top-level
 additive terms of P split its variables into blocks (variables that share
 a term share a block), so P = sum_B f_B(x_B) + c.  Each block is
 enumerated on its own, q^|B| points, into a q x q table of (f_B, block
-norm) pairs; the exact int64 cyclic convolution of the tables on
-Z_q x Z_q is the joint histogram of (P - c, ||x||), and its row where
-P = 0 holds |V cap S_t| for every radius t.  A separable P such as the
-paraboloid costs O(d q^3) integer operations; one block of all d
-variables costs one evaluation on the grid.
+norm) pairs; the cyclic convolution of the tables on Z_q x Z_q is the
+joint histogram of (P - c, ||x||), and its row where P = 0 holds
+|V cap S_t| for every radius t.  The convolution is a product of 2-D
+FFTs, rounded to integers under an a-priori error bound, O(d q^2 log q)
+for a separable P such as the paraboloid; past that bound it is the exact
+int64 convolution, O(d q^3).  One block of all d variables costs one
+evaluation on the grid.
 
 The points of V themselves (``Variety.flat``, lex flat indices) come from
 evaluating P by broadcasting over the d coordinate axes, on demand and
@@ -30,6 +32,7 @@ Exponents must be nonnegative integer literals.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -42,9 +45,11 @@ from .errors import (
     EmptyVarietyWarning,
     NegativeExponent,
     ParseError,
+    RoundingMismatch,
     UnknownVariable,
 )
 from .field import FieldCtx, cyclic_convolve
+from .spheres import sphere_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +441,95 @@ def _block_table(ctx: FieldCtx, axes: frozenset[int], terms) -> np.ndarray:
     return np.bincount(pairs.ravel(), minlength=q * q).reshape(q, q)
 
 
+# the factor _transform_error_bound's first-order model is multiplied by
+_TRANSFORM_SAFETY = 10
+
+
+def _transform_error_bound(q: int, d: int) -> float:
+    """A-priori bound on max |fl(H) - H| for the transform route of ``_radius_counts``.
+
+    Write u = 2^-53, gamma_k = k u / (1 - k u), and following Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Sec. 24.1, let
+    eta = u + gamma_4 (sqrt 2 + u): a transform made of t passes, with
+    accurately computed weights, has normwise relative error at most
+    t eta / (1 - t eta).  pocketfft runs the prime length q by Bluestein's
+    algorithm: two chirp products and three transforms of one length
+    m <= 2^ceil(log2(2q - 1)), each at most log2 m passes.  So every
+    length-q transform is charged eps1 = eta (3 ceil(log2(2q - 1)) + 2),
+    and a 2-D transform of the q x q table (rows, then columns)
+    eps2 = 2 eps1 + eps1^2 in the Frobenius norm.
+
+    Each block table T_k of n_k variables has entries summing to q^{n_k}.
+    Its column t sums to the n_k-dimensional sphere size |S_t| <= 2 q^{n_k - 1}
+    (for n_k = 1, |S_t| = #{y : y^2 = t} <= 2), which bounds every entry, so
+    ||T_k||_F <= sqrt(2/q) q^{n_k}; likewise ||H||_F <= sqrt(2/q) q^d.  The
+    exact transform X_k = fft2(T_k) has ||X_k||_F = q ||T_k||_F and
+    |X_k| <= q^{n_k} entrywise; the computed one is off by E_k with
+    ||E_k||_F <= eps2 ||X_k||_F.  At most d blocks enter the product P,
+    whose d - 1 complex products round by at most 2 sqrt(2) u each
+    (Higham, Lemma 3.5), so to first order
+
+        ||fl(P) - P||_F <= q sqrt(2/q) q^d (d eps2 + (d - 1) 2 sqrt(2) u).
+
+    ifft2 divides the Frobenius norm by q and adds its own eps2 ||H||_F,
+    and the max norm is at most the Frobenius norm, so
+
+        max |fl(H) - H| <= sqrt(2/q) q^d ((d + 1) eps2 + (d - 1) 2 sqrt(2) u).
+
+    The returned bound is this times _TRANSFORM_SAFETY = 10, which covers
+    the second-order terms, Bluestein's convolution (whose growth the
+    normwise model does not see), pocketfft's radices above 2, and the
+    direct O(q^2) pass it takes instead for q below about 70, whose
+    normwise bound is about q^{3/2} u (Higham, Sec. 24.1).  It depends on
+    q and d alone: about 0.12 at (1009, 4), 3.5e-3 at (4001, 3) and 680 at
+    (31, 10).
+    """
+    u = 2.0**-53  # unit roundoff of IEEE double
+    eta = u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u)
+    eps1 = eta * (3 * math.ceil(math.log2(2 * q - 1)) + 2)
+    eps2 = 2 * eps1 + eps1 * eps1
+    first_order = (d + 1) * eps2 + (d - 1) * 2 * math.sqrt(2) * u
+    return _TRANSFORM_SAFETY * math.sqrt(2 / q) * float(q) ** d * first_order
+
+
 def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
-    """``|V cap S_t|`` for every t, by convolving the block tables.
+    """``|V cap S_t|`` for every t, from the joint histogram of the block tables.
 
     The joint histogram H[a, t] = #{x : P(x) - c = a, ||x|| = t} is the
     cyclic convolution on Z_q x Z_q of the block tables, and V is its row
-    a = -c.  Its entries sum to q^d, so int64 counts stay exact.
+    a = -c.  Its entries sum to q^d < 2^63.  Two routes compute it, chosen
+    by q and d alone:
+
+    - the transform route, when ``_transform_error_bound(q, d)`` is below
+      1/2: the product of the tables' ``np.fft.fft2`` transforms, inverted
+      by ``ifft2`` and rounded to int64.  Every entry is then within 1/2 of
+      its integer, so rounding returns it exactly; O(d q^2 log q).
+    - otherwise the exact int64 ``cyclic_convolve`` of the tables,
+      O(q^3) per block.
+
+    On either route the column sums of H must equal ``sphere_sizes``, an
+    exact invariant checked in integers; a mismatch raises
+    RoundingMismatch.
     """
     q = ctx.q
     blocks, constants = _blocks(expr, ctx.d)
-    tables = sorted(
-        (_block_table(ctx, axes, terms) for axes, terms in blocks), key=np.count_nonzero
-    )
-    # densest first: the accumulator only grows denser, so it stays cyclic_convolve's shifted a
-    joint = tables.pop()
-    for table in tables:
-        joint = cyclic_convolve(joint, table)
+    tables = (_block_table(ctx, axes, terms) for axes, terms in blocks)
+    if _transform_error_bound(q, ctx.d) < 0.5:
+        spectrum = np.fft.fft2(next(tables))
+        for table in tables:
+            spectrum *= np.fft.fft2(table)
+        joint = np.rint(np.fft.ifft2(spectrum).real).astype(np.int64)
+    else:
+        # densest first: the accumulator only grows denser, so it stays cyclic_convolve's shifted a
+        tables = sorted(tables, key=np.count_nonzero)
+        joint = tables.pop()
+        for table in tables:
+            joint = cyclic_convolve(joint, table)
+    if not np.array_equal(joint.sum(axis=0), sphere_sizes(ctx)):
+        raise RoundingMismatch(
+            f"joint histogram of {pretty_print(expr)} at q={q}, d={ctx.d} "
+            "does not sum to the sphere sizes"
+        )
     c = sum(sign * eval_poly(term, (), q) for sign, term in constants)
     return joint[-c % q].copy()
 

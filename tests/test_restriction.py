@@ -569,7 +569,8 @@ def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed
     # - a start that passes near a saddle of the ratio leaves it along
     #   whichever unstable direction rounding picks.
     # The first has a start ratio at rounding level; the second shows up as
-    # a one-start outcome that moves when the start moves by 1e-12 relative.
+    # an outcome of either route that moves when the start moves by 1e-12
+    # relative (the one-start loop may leave a saddle the batched run stays on).
     start_ratios = (np.abs(M0 @ A.T) ** rf).sum(axis=1) ** (1 / rf) / (
         ((np.abs(M0) ** pf) * sizes).sum(axis=1) ** (1 / pf)
     )
@@ -577,9 +578,12 @@ def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed
     rng = np.random.default_rng(seed)
     for _ in range(2):
         nudge = np.abs(rng.standard_normal(M0.shape)) * np.abs(M0).max(axis=1, keepdims=True)
-        nudged_values, nudged_steps = _one_start_runs(A, sizes, pf, rf, M0 + 1e-12 * nudge, nonneg)
+        nudged = M0 + 1e-12 * nudge
+        nudged_values, nudged_steps = _one_start_runs(A, sizes, pf, rf, nudged, nonneg)
         regular &= np.abs(nudged_values - want_values) <= 1e-12 * want_values
         regular &= np.abs(nudged_steps - want_steps) <= 1
+        nudged_batched = _power_method(A, sizes, pf, rf, nudged, nonneg, vanishing)[0]
+        regular &= np.abs(nudged_batched - values) <= 1e-12 * values
 
     assert np.all(np.abs(values - want_values)[regular] <= 1e-12 * want_values[regular])
     # Step counts differ only where gains lie within rounding of the 1e-13

@@ -23,6 +23,7 @@ from ffharm import (
     sphere_sizes,
     verify_closed_form,
 )
+from ffharm.field import cyclic_convolve
 from ffharm.spheres import _closed_tail, _lines
 
 
@@ -177,6 +178,32 @@ def test_sphere_sizes_exact_below_int64_limit():
     # |S_0| = q^(d-1) + (q-1) q^((d-2)/2) and |S_j| = q^(d-1) - q^((d-2)/2)
     assert int(sizes[0]) == q**5 + (q - 1) * q**2
     assert (sizes[1:] == q**5 - q**2).all()
+
+
+def _sphere_sizes_by_convolution(ctx):
+    """|S_j| counts d-tuples of squares summing to j: the d-fold cyclic
+    convolution of the histogram of m^2 mod q, exact in int64."""
+    q = ctx.q
+    squares = np.bincount(np.arange(q, dtype=np.int64) ** 2 % q, minlength=q)
+    sizes = squares
+    for _ in range(ctx.d - 1):
+        sizes = cyclic_convolve(sizes, squares)
+    return sizes
+
+
+# every odd prime q <= 23 with d in 2..9, then pairs near q^d = 2^63
+_SIZE_CASES = [(q, d) for q in (3, 5, 7, 11, 13, 17, 19, 23) for d in range(2, 10)] + [
+    (1009, 6), (1013, 6), (7, 22), (3, 39),
+]
+
+
+@pytest.mark.parametrize("q,d", _SIZE_CASES)
+def test_closed_form_sphere_sizes_match_convolution(q, d):
+    ctx = FieldCtx(q, d)
+    assert ctx.size < 2**63
+    sizes = sphere_sizes(ctx)
+    assert sizes.dtype == np.int64
+    assert np.array_equal(sizes, _sphere_sizes_by_convolution(ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ffharm import (
     FieldCtx,
     NegativeExponent,
     ParseError,
+    RoundingMismatch,
     TooLarge,
     UnknownVariable,
     build_variety,
@@ -19,10 +21,22 @@ from ffharm import (
     parse_poly,
     pretty_print,
     rnorm_exact_22,
+    sphere_sizes,
     zero_sphere_intersection,
 )
+import ffharm.varieties
 from ffharm.field import GRID_BUDGET
-from ffharm.varieties import Add, Lit, Mul, Neg, Pow, Sub, Var
+from ffharm.varieties import (
+    Add,
+    Lit,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    _radius_counts,
+    _transform_error_bound,
+)
 
 
 def test_parse_and_eval_paraboloid_point():
@@ -164,6 +178,97 @@ def test_radius_counts_match_enumeration(case):
     assert np.array_equal(v.radius_counts, np.bincount(norms, minlength=q))
     assert v.cardinality == v.flat.size
     assert v.contains_zero == (v.flat.size > 0 and v.flat[0] == 0)
+
+
+def _int64_route_counts(ctx, expr):
+    """_radius_counts by the exact int64 convolution, whatever q and d."""
+    with mock.patch.object(ffharm.varieties, "_transform_error_bound", return_value=math.inf):
+        return _radius_counts(ctx, expr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_on_grid())
+@example((3, 2, Lit(0)))
+@example((5, 3, Lit(1)))
+@example((7, 4, Sub(Var(1), Var(3))))
+@example((7, 3, parse_poly("x1*x2*x3-1", 3)))
+def test_transform_route_matches_int64_route(case):
+    q, d, expr = case
+    ctx = FieldCtx(q, d)
+    assert _transform_error_bound(q, d) < 0.5
+    assert np.array_equal(_radius_counts(ctx, expr), _int64_route_counts(ctx, expr))
+
+
+# x1*x2*x3-1 is one block of q^3 points, so it stops at q = 211 (9.4e6
+# points); at 401 the enumeration alone would hold several 0.5 GB arrays
+_ROUTE_CASES = [
+    (q, d, src)
+    for q in (101, 211, 401)
+    for d, src in [
+        (3, "x1^2+x2^2-x3"),
+        (4, "x1^2+x2^2+x3^2-x4"),
+        (4, "x1^2+x2^2-x3*x4"),
+        (3, "x1^3+x2^3-1"),
+        (3, "(x1+x2)^2-x3"),
+    ]
+] + [(q, 3, "x1*x2*x3-1") for q in (101, 211)]
+
+
+@pytest.mark.parametrize("q,d,src", _ROUTE_CASES)
+def test_transform_route_matches_int64_route_at_scale(q, d, src):
+    ctx = FieldCtx(q, d)
+    expr = parse_poly(src, d)
+    assert _transform_error_bound(q, d) < 0.5
+    assert np.array_equal(_radius_counts(ctx, expr), _int64_route_counts(ctx, expr))
+
+
+@pytest.mark.parametrize("q,d", [(1009, 3), (1009, 4), (2003, 3), (4001, 3)])
+def test_transform_route_reaches_large_q(q, d):
+    assert _transform_error_bound(q, d) < 0.5
+
+
+def test_transform_route_error_far_below_its_bound():
+    # only the transform route may run at (1009, 4); its unrounded output
+    # lies within 1/100 of the bound of the nearest integers
+    real_ifft2, unrounded = np.fft.ifft2, []
+
+    def keep(spectrum):
+        unrounded.append(real_ifft2(spectrum))
+        return unrounded[-1]
+
+    with mock.patch.object(ffharm.varieties, "cyclic_convolve", side_effect=AssertionError):
+        with mock.patch.object(np.fft, "ifft2", side_effect=keep):
+            v = build_variety(FieldCtx(1009, 4), "paraboloid")
+    assert v.cardinality == 1009**3
+    (H,) = unrounded
+    assert np.abs(H - np.rint(H.real)).max() <= _transform_error_bound(1009, 4) / 100
+
+
+def test_int64_route_past_the_bound():
+    # 31^10 = 8.2e14 points: the bound rules the transform out
+    ctx = FieldCtx(31, 10)
+    assert _transform_error_bound(31, 10) >= 0.5
+    with mock.patch.object(np.fft, "fft2", side_effect=AssertionError):
+        v = build_variety(ctx, "paraboloid")
+    # on the paraboloid ||x|| = x_d^2 + x_d, and x_1..x_{d-1} lie on the
+    # 9-dimensional sphere of radius x_d
+    y = np.arange(31)
+    want = np.zeros(31, dtype=np.int64)
+    np.add.at(want, (y * y + y) % 31, sphere_sizes(FieldCtx(31, 9)))
+    assert np.array_equal(v.radius_counts, want)
+
+
+def test_broken_marginal_raises():
+    real_ifft2 = np.fft.ifft2
+
+    def off_by_one(spectrum):
+        out = real_ifft2(spectrum)
+        out[0, 0] += 1
+        return out
+
+    with mock.patch.object(np.fft, "ifft2", side_effect=off_by_one):
+        with pytest.raises(RoundingMismatch):
+            build_variety(FieldCtx(101, 3), "paraboloid")
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "poly:x1^2+x2^2-x3*x4"])
