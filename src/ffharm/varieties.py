@@ -8,11 +8,11 @@ a term share a block), so P = sum_B f_B(x_B) + c.  Each block is
 enumerated on its own, q^|B| points, into a q x q table of (f_B, block
 norm) pairs; the cyclic convolution of the tables on Z_q x Z_q is the
 joint histogram of (P - c, ||x||), and its row where P = 0 holds
-|V cap S_t| for every radius t.  The convolution is a product of 2-D
-FFTs, rounded to integers under an a-priori error bound, O(d q^2 log q)
-for a separable P such as the paraboloid; past that bound it is the exact
-int64 convolution, O(d q^3).  One block of all d variables costs one
-evaluation on the grid.
+|V cap S_t| for every radius t.  The convolution is a product of real
+2-D FFTs, one per distinct block, rounded to integers under an a-priori
+error bound, O(d q^2 log q) for a separable P such as the paraboloid;
+past that bound it is the exact int64 convolution, O(d q^3).  One block
+of all d variables costs one evaluation on the grid.
 
 The points of V themselves (``Variety.flat``, lex flat indices) come from
 evaluating P by broadcasting over the d coordinate axes, on demand and
@@ -46,9 +46,10 @@ from .errors import (
     NegativeExponent,
     ParseError,
     RoundingMismatch,
+    TooLarge,
     UnknownVariable,
 )
-from .field import FieldCtx, cyclic_convolve
+from .field import GRID_BUDGET, FieldCtx, cyclic_convolve
 from .spheres import sphere_sizes
 
 
@@ -444,52 +445,133 @@ def _block_table(ctx: FieldCtx, axes: frozenset[int], terms) -> np.ndarray:
 # the factor _transform_error_bound's first-order model is multiplied by
 _TRANSFORM_SAFETY = 10
 
+# the largest prime lengths at which numpy's pocketfft runs its direct
+# O(q^2) pass rather than Bluestein's algorithm, for the complex and the
+# real transform
+_DIRECT_COMPLEX_MAX_Q = 109
+_DIRECT_REAL_MAX_Q = 269
+
+_U = 2.0**-53  # unit roundoff of IEEE double
+_ETA = _U + 4 * _U / (1 - 4 * _U) * (math.sqrt(2) + _U)
+
+
+def _pass_error(q: int, direct_max_q: int) -> float:
+    """Normwise relative error bound of one length-q pass; see ``_transform_error_bound``."""
+    bluestein = _ETA * (3 * math.ceil(math.log2(2 * q - 1)) + 2)
+    if q > direct_max_q:
+        return bluestein
+    gamma = q * _U / (1 - q * _U)
+    return max(bluestein, math.sqrt(q) * (_ETA + gamma + _ETA * gamma))
+
 
 def _transform_error_bound(q: int, d: int) -> float:
     """A-priori bound on max |fl(H) - H| for the transform route of ``_radius_counts``.
 
     Write u = 2^-53, gamma_k = k u / (1 - k u), and following Higham,
     *Accuracy and Stability of Numerical Algorithms*, Sec. 24.1, let
-    eta = u + gamma_4 (sqrt 2 + u): a transform made of t passes, with
-    accurately computed weights, has normwise relative error at most
-    t eta / (1 - t eta).  pocketfft runs the prime length q by Bluestein's
-    algorithm: two chirp products and three transforms of one length
-    m <= 2^ceil(log2(2q - 1)), each at most log2 m passes.  So every
-    length-q transform is charged eps1 = eta (3 ceil(log2(2q - 1)) + 2),
-    and a 2-D transform of the q x q table (rows, then columns)
-    eps2 = 2 eps1 + eps1^2 in the Frobenius norm.
+    eta = u + gamma_4 (sqrt 2 + u), the error of one product by an
+    accurately computed weight.  A transform made of t passes has normwise
+    relative error at most t eta / (1 - t eta).  pocketfft runs a prime
+    length q in one of two ways, each charged in ``_pass_error``:
+
+    - Bluestein's algorithm: two chirp products and three transforms of
+      one length m <= 2^ceil(log2(2q - 1)), each at most log2 m passes,
+      so eps_B = eta (3 ceil(log2(2q - 1)) + 2).
+    - the direct O(q^2) pass: each output is a sum of q products, so its
+      error is at most (eta + gamma_q + eta gamma_q) ||x||_1 <= that times
+      sqrt(q) ||x||_2, and over the q outputs, whose exact norm is
+      sqrt(q) ||x||_2, eps_D = sqrt(q) (eta + gamma_q + eta gamma_q).
+
+    numpy 2's pocketfft takes the direct pass for some primes up to
+    _DIRECT_COMPLEX_MAX_Q = 109 in the complex transform and up to
+    _DIRECT_REAL_MAX_Q = 269 in the real one (a real input with
+    x_j = x_{q-j} then has an exactly real transform, which Bluestein's
+    chirps do not keep); up to those lengths a pass is charged
+    max(eps_D, eps_B), above them eps_B.
+
+    ``rfft2`` is a real pass along the rows and a complex pass along the
+    q // 2 + 1 columns it keeps, and ``irfft2`` the same two in reverse,
+    so with eps_r and eps_c the two pass bounds, a 2-D transform is
+    charged eps2 = eps_r + eps_c + eps_r eps_c in the Frobenius norm.
 
     Each block table T_k of n_k variables has entries summing to q^{n_k}.
     Its column t sums to the n_k-dimensional sphere size |S_t| <= 2 q^{n_k - 1}
     (for n_k = 1, |S_t| = #{y : y^2 = t} <= 2), which bounds every entry, so
     ||T_k||_F <= sqrt(2/q) q^{n_k}; likewise ||H||_F <= sqrt(2/q) q^d.  The
-    exact transform X_k = fft2(T_k) has ||X_k||_F = q ||T_k||_F and
+    exact half spectrum X_k = rfft2(T_k) has ||X_k||_F <= q ||T_k||_F and
     |X_k| <= q^{n_k} entrywise; the computed one is off by E_k with
-    ||E_k||_F <= eps2 ||X_k||_F.  At most d blocks enter the product P,
+    ||E_k||_F <= eps2 q ||T_k||_F.  At most d blocks enter the product P,
     whose d - 1 complex products round by at most 2 sqrt(2) u each
     (Higham, Lemma 3.5), so to first order
 
         ||fl(P) - P||_F <= q sqrt(2/q) q^d (d eps2 + (d - 1) 2 sqrt(2) u).
 
-    ifft2 divides the Frobenius norm by q and adds its own eps2 ||H||_F,
-    and the max norm is at most the Frobenius norm, so
+    ``irfft2`` reads a half spectrum as its Hermitian extension, which at
+    most doubles the squared norm of a perturbation, so it maps the error
+    above to at most sqrt(2)/q times its norm, and adds its own error of
+    at most sqrt(2) eps2 ||H||_F.  The max norm is at most the Frobenius
+    norm, so
 
-        max |fl(H) - H| <= sqrt(2/q) q^d ((d + 1) eps2 + (d - 1) 2 sqrt(2) u).
+        max |fl(H) - H| <= sqrt(2) sqrt(2/q) q^d ((d + 1) eps2 + (d - 1) 2 sqrt(2) u).
 
     The returned bound is this times _TRANSFORM_SAFETY = 10, which covers
     the second-order terms, Bluestein's convolution (whose growth the
-    normwise model does not see), pocketfft's radices above 2, and the
-    direct O(q^2) pass it takes instead for q below about 70, whose
-    normwise bound is about q^{3/2} u (Higham, Sec. 24.1).  It depends on
-    q and d alone: about 0.12 at (1009, 4), 3.5e-3 at (4001, 3) and 680 at
-    (31, 10).
+    normwise model does not see) and pocketfft's radices above 2.  It
+    depends on q and d alone: about 0.17 at (1009, 4), 4.9e-3 at
+    (4001, 3) and 1.5e3 at (31, 10).
     """
-    u = 2.0**-53  # unit roundoff of IEEE double
-    eta = u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + u)
-    eps1 = eta * (3 * math.ceil(math.log2(2 * q - 1)) + 2)
-    eps2 = 2 * eps1 + eps1 * eps1
-    first_order = (d + 1) * eps2 + (d - 1) * 2 * math.sqrt(2) * u
-    return _TRANSFORM_SAFETY * math.sqrt(2 / q) * float(q) ** d * first_order
+    eps_r = _pass_error(q, _DIRECT_REAL_MAX_Q)
+    eps_c = _pass_error(q, _DIRECT_COMPLEX_MAX_Q)
+    eps2 = eps_r + eps_c + eps_r * eps_c
+    first_order = (d + 1) * eps2 + (d - 1) * 2 * math.sqrt(2) * _U
+    return _TRANSFORM_SAFETY * 2 / math.sqrt(q) * float(q) ** d * first_order
+
+
+def _renamed(expr: PolyExpr, index: dict[int, int]) -> PolyExpr:
+    """expr with each variable x_k replaced by x_{index[k]}."""
+    if isinstance(expr, Var):
+        return Var(index[expr.index])
+    if isinstance(expr, Lit):
+        return expr
+    if isinstance(expr, Neg):
+        return Neg(_renamed(expr.operand, index))
+    if isinstance(expr, Pow):
+        return Pow(_renamed(expr.base, index), expr.exponent)
+    return type(expr)(_renamed(expr.left, index), _renamed(expr.right, index))
+
+
+def _distinct_blocks(blocks) -> dict:
+    """Count the blocks that are one polynomial once renamed in axis order.
+
+    A block on axes a_1 < ... < a_n becomes a block on x1..xn with
+    x_{a_i + 1} renamed x_i.  Its table depends on nothing else, so blocks
+    with equal renamings have equal tables.  Returns {(n, signed terms):
+    number of blocks}, in the order the blocks first appear.
+    """
+    counts: dict = {}
+    for axes, terms in blocks:
+        index = {k + 1: i + 1 for i, k in enumerate(sorted(axes))}
+        key = (len(axes), tuple((sign, _renamed(term, index)) for sign, term in terms))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _route_bytes(q: int, blocks: int, transform: bool) -> int:
+    """Peak bytes of the arrays one route of ``_radius_counts`` holds at once.
+
+    A q x q int64 or float64 table takes 8 q^2 bytes, a complex128 half
+    spectrum 16 q (q // 2 + 1).  The transform route holds at most the
+    spectrum and one block table while ``rfft2`` holds the half spectra of
+    its real and its complex pass; after it, the inverse holds two half
+    spectra and the ``irfft2`` output, then that output and its rounded
+    int64 copy.  The int64 route holds every block table and
+    ``cyclic_convolve``'s output and its two temporaries.  The enumeration
+    of a block is bounded by GRID_BUDGET points on its own.
+    """
+    table, half = 8 * q * q, 16 * q * (q // 2 + 1)
+    if transform:
+        return table + 3 * half
+    return (blocks + 3) * table
 
 
 def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
@@ -501,25 +583,46 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
     by q and d alone:
 
     - the transform route, when ``_transform_error_bound(q, d)`` is below
-      1/2: the product of the tables' ``np.fft.fft2`` transforms, inverted
-      by ``ifft2`` and rounded to int64.  Every entry is then within 1/2 of
-      its integer, so rounding returns it exactly; O(d q^2 log q).
-    - otherwise the exact int64 ``cyclic_convolve`` of the tables,
-      O(q^3) per block.
+      1/2: the product of the tables' ``np.fft.rfft2`` half spectra, inverted
+      by ``irfft2`` and rounded to int64.  Every entry is then within 1/2 of
+      its integer, so rounding returns it exactly; O(d q^2 log q).  Blocks
+      that are one polynomial once renamed (``_distinct_blocks``), such as
+      the paraboloid's d - 1 squares, share one table and one transform,
+      by which the spectrum is multiplied once per block.
+    - otherwise the exact int64 ``cyclic_convolve`` of the tables, each
+      block enumerated on its own, O(q^3) per block.
 
-    On either route the column sums of H must equal ``sphere_sizes``, an
-    exact invariant checked in integers; a mismatch raises
-    RoundingMismatch.
+    Before either allocates, its peak bytes (``_route_bytes``) are checked
+    against 8 GRID_BUDGET, the bytes of the int64 grid the budget admits;
+    more raises TooLarge.  On either route the column sums of H must equal
+    ``sphere_sizes``, an exact invariant checked in integers; a mismatch
+    raises RoundingMismatch.
     """
     q = ctx.q
     blocks, constants = _blocks(expr, ctx.d)
-    tables = (_block_table(ctx, axes, terms) for axes, terms in blocks)
-    if _transform_error_bound(q, ctx.d) < 0.5:
-        spectrum = np.fft.fft2(next(tables))
-        for table in tables:
-            spectrum *= np.fft.fft2(table)
-        joint = np.rint(np.fft.ifft2(spectrum).real).astype(np.int64)
+    transform = _transform_error_bound(q, ctx.d) < 0.5
+    need = _route_bytes(q, len(blocks), transform)
+    if need > 8 * GRID_BUDGET:
+        raise TooLarge(
+            f"counting {pretty_print(expr)} at q={q}, d={ctx.d} needs about {need} bytes, "
+            f"over the budget of {8 * GRID_BUDGET}"
+        )
+    if transform:
+        spectrum = None
+        for (n, terms), count in _distinct_blocks(blocks).items():
+            half = np.fft.rfft2(_block_table(ctx, frozenset(range(n)), terms))
+            if spectrum is None:
+                # the first factor, copied when half multiplies it again
+                spectrum = half.copy() if count > 1 else half
+                count -= 1
+            for _ in range(count):
+                spectrum *= half
+            del half
+        joint = np.fft.irfft2(spectrum, s=(q, q))
+        del spectrum
+        joint = np.rint(joint, out=joint).astype(np.int64)
     else:
+        tables = (_block_table(ctx, axes, terms) for axes, terms in blocks)
         # densest first: the accumulator only grows denser, so it stays cyclic_convolve's shifted a
         tables = sorted(tables, key=np.count_nonzero)
         joint = tables.pop()

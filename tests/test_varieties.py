@@ -26,7 +26,10 @@ from ffharm import (
 )
 import ffharm.varieties
 from ffharm.field import GRID_BUDGET
+from ffharm.field import is_odd_prime
 from ffharm.varieties import (
+    _DIRECT_COMPLEX_MAX_Q,
+    _DIRECT_REAL_MAX_Q,
     Add,
     Lit,
     Mul,
@@ -34,7 +37,9 @@ from ffharm.varieties import (
     Pow,
     Sub,
     Var,
+    _blocks,
     _radius_counts,
+    _route_bytes,
     _transform_error_bound,
 )
 
@@ -192,6 +197,10 @@ def _int64_route_counts(ctx, expr):
 @example((5, 3, Lit(1)))
 @example((7, 4, Sub(Var(1), Var(3))))
 @example((7, 3, parse_poly("x1*x2*x3-1", 3)))
+@example((7, 3, parse_poly("x1^2+x2^2-x3", 3)))
+@example((7, 4, parse_poly("x1^2+x2^2+x3^2-x4", 4)))
+@example((7, 4, parse_poly("x1^2+x2^2-x3*x4", 4)))
+@example((7, 4, parse_poly("x1*x2+x3*x4-1", 4)))
 def test_transform_route_matches_int64_route(case):
     q, d, expr = case
     ctx = FieldCtx(q, d)
@@ -227,21 +236,30 @@ def test_transform_route_reaches_large_q(q, d):
     assert _transform_error_bound(q, d) < 0.5
 
 
+@pytest.mark.parametrize("d,first", [(4, 1361), (5, 181), (6, 79), (10, 17)])
+def test_int64_route_from_the_stated_q(d, first):
+    # the smallest prime at which the bound reaches 1/2, as the README states
+    primes = [q for q in range(3, first + 1) if is_odd_prime(q)]
+    assert [q for q in primes if _transform_error_bound(q, d) >= 0.5] == [first]
+
+
 def test_transform_route_error_far_below_its_bound():
     # only the transform route may run at (1009, 4); its unrounded output
     # lies within 1/100 of the bound of the nearest integers
-    real_ifft2, unrounded = np.fft.ifft2, []
+    real_irfft2, unrounded = np.fft.irfft2, []
 
-    def keep(spectrum):
-        unrounded.append(real_ifft2(spectrum))
-        return unrounded[-1]
+    def keep(*args, **kwargs):
+        out = real_irfft2(*args, **kwargs)
+        unrounded.append(out.copy())  # the caller rounds out in place
+        return out
 
     with mock.patch.object(ffharm.varieties, "cyclic_convolve", side_effect=AssertionError):
-        with mock.patch.object(np.fft, "ifft2", side_effect=keep):
+        with mock.patch.object(np.fft, "irfft2", side_effect=keep):
             v = build_variety(FieldCtx(1009, 4), "paraboloid")
     assert v.cardinality == 1009**3
     (H,) = unrounded
-    assert np.abs(H - np.rint(H.real)).max() <= _transform_error_bound(1009, 4) / 100
+    assert H.shape == (1009, 1009)
+    assert np.abs(H - np.rint(H)).max() <= _transform_error_bound(1009, 4) / 100
 
 
 def test_int64_route_past_the_bound():
@@ -249,7 +267,8 @@ def test_int64_route_past_the_bound():
     ctx = FieldCtx(31, 10)
     assert _transform_error_bound(31, 10) >= 0.5
     with mock.patch.object(np.fft, "fft2", side_effect=AssertionError):
-        v = build_variety(ctx, "paraboloid")
+        with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
+            v = build_variety(ctx, "paraboloid")
     # on the paraboloid ||x|| = x_d^2 + x_d, and x_1..x_{d-1} lie on the
     # 9-dimensional sphere of radius x_d
     y = np.arange(31)
@@ -259,16 +278,100 @@ def test_int64_route_past_the_bound():
 
 
 def test_broken_marginal_raises():
-    real_ifft2 = np.fft.ifft2
+    real_irfft2 = np.fft.irfft2
 
-    def off_by_one(spectrum):
-        out = real_ifft2(spectrum)
+    def off_by_one(*args, **kwargs):
+        out = real_irfft2(*args, **kwargs)
         out[0, 0] += 1
         return out
 
-    with mock.patch.object(np.fft, "ifft2", side_effect=off_by_one):
+    with mock.patch.object(np.fft, "irfft2", side_effect=off_by_one):
         with pytest.raises(RoundingMismatch):
             build_variety(FieldCtx(101, 3), "paraboloid")
+
+
+@pytest.mark.parametrize(
+    "d,name,transforms",
+    [
+        (3, "paraboloid", 2),
+        (4, "paraboloid", 2),
+        (4, "poly:x1^2+x2^2-x3*x4", 2),
+        (4, "poly:x1*x2+x3*x4-1", 1),
+        (4, "poly:x1^2+x2^2+x3^2+x4^3", 2),
+        (4, "poly:x1*x3+x2*x4", 1),
+        (4, "poly:x1*x2+x3^2*x4", 2),
+    ],
+)
+def test_one_transform_per_distinct_block(d, name, transforms):
+    ctx = FieldCtx(101, d)
+    want = _int64_route_counts(ctx, build_variety(ctx, name).expr)
+    with mock.patch.object(np.fft, "rfft2", side_effect=np.fft.rfft2) as rfft2:
+        v = build_variety(ctx, name)
+    assert rfft2.call_count == transforms
+    assert np.array_equal(v.radius_counts, want)
+
+
+def test_direct_pass_limits_of_pocketfft():
+    # _transform_error_bound charges the direct O(q^2) pass up to these
+    # lengths.  A real input with x_j = x_{q-j} has a real transform; the
+    # direct pass keeps it exactly real, Bluestein's chirps do not.  Check
+    # both limits and every prime above them the byte budget admits.
+    rng = np.random.default_rng(0)
+
+    def direct(q, transform):
+        x = rng.standard_normal(q)
+        x[1:] += x[1:][::-1].copy()
+        return not transform(x).imag.any()
+
+    assert direct(_DIRECT_COMPLEX_MAX_Q, np.fft.fft)
+    assert direct(_DIRECT_REAL_MAX_Q, np.fft.rfft)
+    largest = max(q for q in range(3, 10**4) if _route_bytes(q, 2, True) <= 8 * GRID_BUDGET)
+    for q in range(_DIRECT_COMPLEX_MAX_Q + 1, largest + 1):
+        if is_odd_prime(q):
+            assert not direct(q, np.fft.fft), q
+            if q > _DIRECT_REAL_MAX_Q:
+                assert not direct(q, np.fft.rfft), q
+
+
+def test_byte_budget_refuses_before_any_transform():
+    # the bound admits the transform route at (20011, 3), but its arrays
+    # would take about 13 GB; no block is enumerated and nothing transformed
+    assert _transform_error_bound(20011, 3) < 0.5
+    with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
+        with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
+            with pytest.raises(TooLarge, match=f"over the budget of {8 * GRID_BUDGET}"):
+                build_variety(FieldCtx(20011, 3), "paraboloid")
+
+
+@pytest.mark.parametrize("q,d", [(2003, 3), (1009, 4), (31, 10)])
+def test_byte_budget_admits(q, d):
+    transform = _transform_error_bound(q, d) < 0.5
+    assert _route_bytes(q, d, transform) <= 8 * GRID_BUDGET
+    assert build_variety(FieldCtx(q, d), "paraboloid").cardinality == q ** (d - 1)
+
+
+@pytest.mark.parametrize("src", ["x1^2+x2^2-x3", "x1^2+x2^2+x3^2-x4", "x1^3+x2^3-1"])
+@pytest.mark.parametrize("transform", [True, False])
+def test_route_bytes_bound_the_traced_peak(src, transform):
+    # one-variable blocks, so the enumeration holds O(q) points; numpy
+    # reports its arrays to tracemalloc.  The slack, under one q x q table,
+    # covers O(q) arrays and a ufunc's fixed casting buffer; the estimate is
+    # at most twice the peak.
+    import tracemalloc
+
+    q = 211
+    d = src.count("x")
+    ctx, expr = FieldCtx(q, d), parse_poly(src, d)
+    need = _route_bytes(q, len(_blocks(expr, d)[0]), transform)
+    bound = 0.0 if transform else math.inf
+    with mock.patch.object(ffharm.varieties, "_transform_error_bound", return_value=bound):
+        tracemalloc.start()
+        try:
+            _radius_counts(ctx, expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert need / 2 <= peak <= need + 2**18
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "poly:x1^2+x2^2-x3*x4"])
