@@ -568,18 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built by the first main() call and reused by later calls in the process,
-# not at import, so importing the module stays cheap; parse_args keeps no
-# state between calls
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
-    args.parser = _parser
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    args.parser = parser
     try:
         return args.func(args)
     except FFHarmError as e:

@@ -36,7 +36,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -445,34 +445,46 @@ def _block_table(ctx: FieldCtx, axes: frozenset[int], terms) -> np.ndarray:
 # the factor _transform_error_bound's first-order model is multiplied by
 _TRANSFORM_SAFETY = 10
 
-# the largest prime lengths at which numpy's pocketfft runs its direct
-# O(q^2) pass rather than Bluestein's algorithm, for the complex and the
-# real transform
-_DIRECT_COMPLEX_MAX_Q = 109
-_DIRECT_REAL_MAX_Q = 269
-
 _U = 2.0**-53  # unit roundoff of IEEE double
 _ETA = _U + 4 * _U / (1 - 4 * _U) * (math.sqrt(2) + _U)
 
 
-def _pass_error(q: int, direct_max_q: int) -> float:
+@lru_cache(maxsize=None)
+def _direct_pass(q: int, real: bool) -> bool:
+    """Whether numpy's pocketfft runs length q by its direct O(q^2) pass.
+
+    Asked of the installed numpy, real or complex transform, rather than
+    of a table of its planner's choices.  The direct pass pairs x_j with
+    x_{q-j}, so a real input with x_j = x_{q-j} gets an exactly real
+    transform from it; Bluestein's chirps leave rounding in the imaginary
+    parts.  A Bluestein transform that came out exactly real would only
+    be charged the larger direct-pass error.
+    """
+    y = np.sqrt(np.arange(1.0, q))
+    x = np.concatenate(([1.0], y + y[::-1]))
+    return not (np.fft.rfft(x) if real else np.fft.fft(x)).imag.any()
+
+
+def _pass_error(q: int, direct: bool) -> float:
     """Normwise relative error bound of one length-q pass; see ``_transform_error_bound``."""
     bluestein = _ETA * (3 * math.ceil(math.log2(2 * q - 1)) + 2)
-    if q > direct_max_q:
+    if not direct:
         return bluestein
     gamma = q * _U / (1 - q * _U)
     return max(bluestein, math.sqrt(q) * (_ETA + gamma + _ETA * gamma))
 
 
-def _transform_error_bound(q: int, d: int) -> float:
-    """A-priori bound on max |fl(H) - H| for the transform route of ``_radius_counts``.
+def _transform_error_bound(q: int, d: int, real: bool = True) -> float:
+    """A-priori bound on max |fl(H) - H| for a transform route of ``_radius_counts``.
 
-    Write u = 2^-53, gamma_k = k u / (1 - k u), and following Higham,
-    *Accuracy and Stability of Numerical Algorithms*, Sec. 24.1, let
-    eta = u + gamma_4 (sqrt 2 + u), the error of one product by an
-    accurately computed weight.  A transform made of t passes has normwise
-    relative error at most t eta / (1 - t eta).  pocketfft runs a prime
-    length q in one of two ways, each charged in ``_pass_error``:
+    ``real`` picks the route of ``rfft2`` and ``irfft2``, else that of
+    ``fft2`` and ``ifft2``.  Write u = 2^-53, gamma_k = k u / (1 - k u),
+    and following Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Sec. 24.1, let eta = u + gamma_4 (sqrt 2 + u), the error
+    of one product by an accurately computed weight.  A transform made of
+    t passes has normwise relative error at most t eta / (1 - t eta).
+    pocketfft runs a prime length q in one of two ways (``_direct_pass``
+    asks which), each charged in ``_pass_error``:
 
     - Bluestein's algorithm: two chirp products and three transforms of
       one length m <= 2^ceil(log2(2q - 1)), each at most log2 m passes,
@@ -480,51 +492,84 @@ def _transform_error_bound(q: int, d: int) -> float:
     - the direct O(q^2) pass: each output is a sum of q products, so its
       error is at most (eta + gamma_q + eta gamma_q) ||x||_1 <= that times
       sqrt(q) ||x||_2, and over the q outputs, whose exact norm is
-      sqrt(q) ||x||_2, eps_D = sqrt(q) (eta + gamma_q + eta gamma_q).
+      sqrt(q) ||x||_2, eps_D = sqrt(q) (eta + gamma_q + eta gamma_q);
+      it is charged max(eps_D, eps_B).
 
-    numpy 2's pocketfft takes the direct pass for some primes up to
-    _DIRECT_COMPLEX_MAX_Q = 109 in the complex transform and up to
-    _DIRECT_REAL_MAX_Q = 269 in the real one (a real input with
-    x_j = x_{q-j} then has an exactly real transform, which Bluestein's
-    chirps do not keep); up to those lengths a pass is charged
-    max(eps_D, eps_B), above them eps_B.
+    On numpy 2.4 the direct pass runs primes up to 109 in the complex
+    transform and up to 269 in the real one.
 
-    ``rfft2`` is a real pass along the rows and a complex pass along the
-    q // 2 + 1 columns it keeps, and ``irfft2`` the same two in reverse,
-    so with eps_r and eps_c the two pass bounds, a 2-D transform is
-    charged eps2 = eps_r + eps_c + eps_r eps_c in the Frobenius norm.
+    Norms.  Each block table T_k of n_k variables has entries summing to
+    q^{n_k}.  Its column t sums to the n_k-dimensional sphere size
+    |S_t| <= 2 q^{n_k - 1} (for n_k = 1, |S_t| = #{y : y^2 = t} <= 2), which
+    bounds every entry, so ||T_k||_F <= sqrt(2/q) q^{n_k}; likewise
+    ||H||_F <= sqrt(2/q) q^d.  The exact spectrum X_k of T_k has
+    ||X_k||_F = q ||T_k||_F and |X_k| <= q^{n_k} entrywise.  On the real
+    route X_k is the half spectrum of the q // 2 + 1 columns rfft2 keeps,
+    measured in the norm N that counts every column but the first twice:
+    N is the Frobenius norm of the full spectrum it stands for, so
+    N(X_k) = q ||T_k||_F too, and irfft2 maps a half spectrum E to an
+    array of Frobenius norm at most N(E) / q.
 
-    Each block table T_k of n_k variables has entries summing to q^{n_k}.
-    Its column t sums to the n_k-dimensional sphere size |S_t| <= 2 q^{n_k - 1}
-    (for n_k = 1, |S_t| = #{y : y^2 = t} <= 2), which bounds every entry, so
-    ||T_k||_F <= sqrt(2/q) q^{n_k}; likewise ||H||_F <= sqrt(2/q) q^d.  The
-    exact half spectrum X_k = rfft2(T_k) has ||X_k||_F <= q ||T_k||_F and
-    |X_k| <= q^{n_k} entrywise; the computed one is off by E_k with
-    ||E_k||_F <= eps2 q ||T_k||_F.  At most d blocks enter the product P,
-    whose d - 1 complex products round by at most 2 sqrt(2) u each
-    (Higham, Lemma 3.5), so to first order
+    Passes.  With eps_c the bound of a complex pass:
 
-        ||fl(P) - P||_F <= q sqrt(2/q) q^d (d eps2 + (d - 1) 2 sqrt(2) u).
+    - fft2 and ifft2 are two complex passes, eps_f = eps_i = 2 eps_c + eps_c^2.
+    - rfft2 is a real pass along the rows, then a complex pass along the
+      kept columns, which keeps its relative error in N.  A direct real
+      pass is charged eps_r = _pass_error in N as well, each output of
+      the half being off by the same per-entry bound.  pocketfft's
+      Bluestein real pass is a complex one whose first half is kept, and
+      that half can hold all of its error, so it is charged sqrt(2) eps_r
+      in N.  So eps_f = eps_r' + eps_c + eps_r' eps_c, with eps_r' that
+      charge.
+    - irfft2 is a complex pass along the columns and a real pass along
+      the rows, which reads the Hermitian extension of each row, of norm
+      N, so eps_i = eps_r + eps_c + eps_r eps_c.
 
-    ``irfft2`` reads a half spectrum as its Hermitian extension, which at
-    most doubles the squared norm of a perturbation, so it maps the error
-    above to at most sqrt(2)/q times its norm, and adds its own error of
-    at most sqrt(2) eps2 ||H||_F.  The max norm is at most the Frobenius
-    norm, so
+    The computed spectra are off by E_k with N(E_k) <= eps_f q ||T_k||_F.
+    At most d blocks enter the product P, whose d - 1 complex products
+    round by at most 2 sqrt(2) u each (Higham, Lemma 3.5), so to first
+    order N(fl(P) - P) <= q sqrt(2/q) q^d (d eps_f + (d - 1) 2 sqrt(2) u).
+    The inverse divides that by q and adds its own eps_i ||H||_F.  The
+    max norm is at most the Frobenius norm, so
 
-        max |fl(H) - H| <= sqrt(2) sqrt(2/q) q^d ((d + 1) eps2 + (d - 1) 2 sqrt(2) u).
+        max |fl(H) - H| <= sqrt(2/q) q^d (d eps_f + eps_i + (d - 1) 2 sqrt(2) u).
 
     The returned bound is this times _TRANSFORM_SAFETY = 10, which covers
     the second-order terms, Bluestein's convolution (whose growth the
     normwise model does not see) and pocketfft's radices above 2.  It
-    depends on q and d alone: about 0.17 at (1009, 4), 4.9e-3 at
-    (4001, 3) and 1.5e3 at (31, 10).
+    depends on q, d and the route alone.  On the real route it is about
+    1.1e-4 at (1009, 3), 0.14 at (1009, 4), 4.0e-3 at (4001, 3) and
+    1.1e3 at (31, 10); on the complex route, 0.12 at (1009, 4).
     """
-    eps_r = _pass_error(q, _DIRECT_REAL_MAX_Q)
-    eps_c = _pass_error(q, _DIRECT_COMPLEX_MAX_Q)
-    eps2 = eps_r + eps_c + eps_r * eps_c
-    first_order = (d + 1) * eps2 + (d - 1) * 2 * math.sqrt(2) * _U
-    return _TRANSFORM_SAFETY * 2 / math.sqrt(q) * float(q) ** d * first_order
+    eps_c = _pass_error(q, _direct_pass(q, False))
+    if real:
+        direct = _direct_pass(q, True)
+        eps_r = _pass_error(q, direct)
+        eps_rf = eps_r if direct else math.sqrt(2) * eps_r
+        eps_f = eps_rf + eps_c + eps_rf * eps_c
+        eps_i = eps_r + eps_c + eps_r * eps_c
+    else:
+        eps_f = eps_i = 2 * eps_c + eps_c * eps_c
+    first_order = d * eps_f + eps_i + (d - 1) * 2 * math.sqrt(2) * _U
+    return _TRANSFORM_SAFETY * math.sqrt(2 / q) * float(q) ** d * first_order
+
+
+def _counts_route(q: int, d: int) -> str:
+    """The route ``_radius_counts`` takes at (q, d).
+
+    "real" (rfft2) where its ``_transform_error_bound`` is below 1/2,
+    else "complex" (fft2) where that route's bound is, else "int64".  The
+    complex route's bound is the smaller one where pocketfft's real
+    transform is direct and its complex one is not, and where the real
+    route pays sqrt(2) for its Bluestein pass, so it keeps the transforms
+    up to the same q as before the real route: 1483 for d = 4, 293 for
+    d = 5.
+    """
+    if _transform_error_bound(q, d, real=True) < 0.5:
+        return "real"
+    if _transform_error_bound(q, d, real=False) < 0.5:
+        return "complex"
+    return "int64"
 
 
 def _renamed(expr: PolyExpr, index: dict[int, int]) -> PolyExpr:
@@ -556,22 +601,23 @@ def _distinct_blocks(blocks) -> dict:
     return counts
 
 
-def _route_bytes(q: int, blocks: int, transform: bool) -> int:
+def _route_bytes(q: int, blocks: int, route: str) -> int:
     """Peak bytes of the arrays one route of ``_radius_counts`` holds at once.
 
-    A q x q int64 or float64 table takes 8 q^2 bytes, a complex128 half
-    spectrum 16 q (q // 2 + 1).  The transform route holds at most the
-    spectrum and one block table while ``rfft2`` holds the half spectra of
-    its real and its complex pass; after it, the inverse holds two half
-    spectra and the ``irfft2`` output, then that output and its rounded
-    int64 copy.  The int64 route holds every block table and
+    A q x q int64 or float64 table takes 8 q^2 bytes, a complex128
+    spectrum 16 q^2, and a half spectrum 16 q (q // 2 + 1).  A transform
+    route holds at most the spectrum and one block table while the
+    forward transform holds the spectra of its two passes; after it, the
+    inverse holds two spectra and its output, then that output and its
+    rounded int64 copy.  The int64 route holds every block table and
     ``cyclic_convolve``'s output and its two temporaries.  The enumeration
     of a block is bounded by GRID_BUDGET points on its own.
     """
-    table, half = 8 * q * q, 16 * q * (q // 2 + 1)
-    if transform:
-        return table + 3 * half
-    return (blocks + 3) * table
+    table = 8 * q * q
+    if route == "int64":
+        return (blocks + 3) * table
+    spectrum = 16 * q * (q // 2 + 1) if route == "real" else 16 * q * q
+    return table + 3 * spectrum
 
 
 def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
@@ -579,46 +625,52 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
 
     The joint histogram H[a, t] = #{x : P(x) - c = a, ||x|| = t} is the
     cyclic convolution on Z_q x Z_q of the block tables, and V is its row
-    a = -c.  Its entries sum to q^d < 2^63.  Two routes compute it, chosen
-    by q and d alone:
+    a = -c.  Its entries sum to q^d < 2^63.  One of three routes computes
+    it, chosen by q, d and the installed numpy's FFT planner alone:
 
-    - the transform route, when ``_transform_error_bound(q, d)`` is below
-      1/2: the product of the tables' ``np.fft.rfft2`` half spectra, inverted
-      by ``irfft2`` and rounded to int64.  Every entry is then within 1/2 of
-      its integer, so rounding returns it exactly; O(d q^2 log q).  Blocks
-      that are one polynomial once renamed (``_distinct_blocks``), such as
-      the paraboloid's d - 1 squares, share one table and one transform,
-      by which the spectrum is multiplied once per block.
+    - a transform route, when ``_counts_route`` picks one: the product of
+      the tables' ``np.fft.rfft2`` half spectra, inverted by ``irfft2``, or
+      of their ``fft2`` spectra, inverted by ``ifft2``, rounded to int64.
+      Its ``_transform_error_bound`` is below 1/2, so every entry is
+      within 1/2 of its integer and rounding returns it exactly;
+      O(d q^2 log q).  Blocks that are one polynomial once renamed
+      (``_distinct_blocks``), such as the paraboloid's d - 1 squares, share
+      one table and one transform, by which the spectrum is multiplied
+      once per block.
     - otherwise the exact int64 ``cyclic_convolve`` of the tables, each
       block enumerated on its own, O(q^3) per block.
 
-    Before either allocates, its peak bytes (``_route_bytes``) are checked
+    Before any route allocates, its peak bytes (``_route_bytes``) are checked
     against 8 GRID_BUDGET, the bytes of the int64 grid the budget admits;
-    more raises TooLarge.  On either route the column sums of H must equal
+    more raises TooLarge.  On every route the column sums of H must equal
     ``sphere_sizes``, an exact invariant checked in integers; a mismatch
     raises RoundingMismatch.
     """
     q = ctx.q
     blocks, constants = _blocks(expr, ctx.d)
-    transform = _transform_error_bound(q, ctx.d) < 0.5
-    need = _route_bytes(q, len(blocks), transform)
+    route = _counts_route(q, ctx.d)
+    need = _route_bytes(q, len(blocks), route)
     if need > 8 * GRID_BUDGET:
         raise TooLarge(
             f"counting {pretty_print(expr)} at q={q}, d={ctx.d} needs about {need} bytes, "
             f"over the budget of {8 * GRID_BUDGET}"
         )
-    if transform:
+    if route != "int64":
+        forward = np.fft.rfft2 if route == "real" else np.fft.fft2
         spectrum = None
         for (n, terms), count in _distinct_blocks(blocks).items():
-            half = np.fft.rfft2(_block_table(ctx, frozenset(range(n)), terms))
+            factor = forward(_block_table(ctx, frozenset(range(n)), terms))
             if spectrum is None:
-                # the first factor, copied when half multiplies it again
-                spectrum = half.copy() if count > 1 else half
+                # the first factor, copied when it multiplies the spectrum again
+                spectrum = factor.copy() if count > 1 else factor
                 count -= 1
             for _ in range(count):
-                spectrum *= half
-            del half
-        joint = np.fft.irfft2(spectrum, s=(q, q))
+                spectrum *= factor
+            del factor
+        if route == "real":
+            joint = np.fft.irfft2(spectrum, s=(q, q))
+        else:
+            joint = np.fft.ifft2(spectrum).real
         del spectrum
         joint = np.rint(joint, out=joint).astype(np.int64)
     else:

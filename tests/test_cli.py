@@ -1,9 +1,6 @@
 import math
 import re
-import subprocess
-import sys
 import threading
-from pathlib import Path
 from unittest import mock
 from fractions import Fraction
 
@@ -498,54 +495,3 @@ def test_refused_over_the_byte_budget_exits_2(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: counting")
     assert "over the budget of 800000000" in captured.err
-
-
-def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    monkeypatch.setattr(ffharm.cli, "_parser", None)
-    build = mock.Mock(wraps=ffharm.cli.build_parser)
-    monkeypatch.setattr(ffharm.cli, "build_parser", build)
-    for argv in (
-        ["sum", "gauss", "--q", "5", "--a", "1"],
-        ["sum", "gauss", "--q", "7", "--a", "2"],
-        ["restrict", "region", "--d", "3", "--p", "3/2", "--r", "2"],
-    ):
-        assert main(argv) == 0
-    assert build.call_count == 1
-    # build_parser itself still returns a new parser on every call
-    assert ffharm.cli.build_parser() is not ffharm.cli.build_parser()
-
-
-def test_importing_the_cli_builds_no_parser():
-    code = (
-        "import argparse, sys\n"
-        "def refuse(*args, **kwargs):\n"
-        "    sys.exit(3)\n"
-        "argparse.ArgumentParser.__init__ = refuse\n"
-        "import ffharm.cli\n"
-        "assert ffharm.cli._parser is None\n"
-    )
-    src = str(Path(ffharm.cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, timeout=120)
-    assert done.returncode == 0
-
-
-def test_reused_parser_keeps_nothing_between_calls(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(ffharm.cli, "_parser", None)
-    argv = ["restrict", "scan", "--variety", "paraboloid", "--d", "3", "--q", "5,7"]
-    argv += ["--p", "3/2", "--r", "2", "--out"]
-    assert main(argv + [str(tmp_path / "a.csv"), "--seed", "3"]) == 0
-    parser = ffharm.cli._parser
-    assert main(argv + [str(tmp_path / "b.csv")]) == 0
-    seeds = {
-        name: {line.split(",")[9] for line in (tmp_path / name).read_text().splitlines()[1:]}
-        for name in ("a.csv", "b.csv")
-    }
-    assert seeds == {"a.csv": {"3"}, "b.csv": {"0"}}
-    capsys.readouterr()
-    # a bad request still exits 2 through args.parser.error
-    bad = ["restrict", "norm", "--variety", "paraboloid", "--d", "3", "--q", "5"]
-    with pytest.raises(SystemExit) as info:
-        main(bad + ["--p", "3/2", "--r", "2", "--method", "exact22"])
-    assert info.value.code == 2
-    assert "method exact22 requires --p 2 --r 2" in capsys.readouterr().err
-    assert ffharm.cli._parser is parser

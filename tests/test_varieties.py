@@ -28,8 +28,6 @@ import ffharm.varieties
 from ffharm.field import GRID_BUDGET
 from ffharm.field import is_odd_prime
 from ffharm.varieties import (
-    _DIRECT_COMPLEX_MAX_Q,
-    _DIRECT_REAL_MAX_Q,
     Add,
     Lit,
     Mul,
@@ -38,6 +36,8 @@ from ffharm.varieties import (
     Sub,
     Var,
     _blocks,
+    _counts_route,
+    _direct_pass,
     _radius_counts,
     _route_bytes,
     _transform_error_bound,
@@ -236,11 +236,29 @@ def test_transform_route_reaches_large_q(q, d):
     assert _transform_error_bound(q, d) < 0.5
 
 
-@pytest.mark.parametrize("d,first", [(4, 1361), (5, 181), (6, 79), (10, 17)])
+@pytest.mark.parametrize("d,first", [(4, 1483), (5, 293), (10, 17)])
 def test_int64_route_from_the_stated_q(d, first):
-    # the smallest prime at which the bound reaches 1/2, as the README states
+    # the smallest prime at which neither transform route's bound is below
+    # 1/2, as the README states; below it every prime takes a transform
     primes = [q for q in range(3, first + 1) if is_odd_prime(q)]
-    assert [q for q in primes if _transform_error_bound(q, d) >= 0.5] == [first]
+    assert [q for q in primes if _counts_route(q, d) == "int64"] == [first]
+
+
+@pytest.mark.parametrize(
+    "q,name", [(193, "paraboloid"), (283, "paraboloid"), (193, "poly:x1^2+x2^2+x3^2-x4*x5")]
+)
+def test_complex_route_where_the_real_bound_fails(q, name):
+    # at d = 5 pocketfft's real transform of these lengths is direct or
+    # pays sqrt(2) for Bluestein's, and only fft2's bound is below 1/2
+    ctx = FieldCtx(q, 5)
+    assert _transform_error_bound(q, 5) >= 0.5 > _transform_error_bound(q, 5, real=False)
+    assert _counts_route(q, 5) == "complex"
+    want = _int64_route_counts(ctx, build_variety(ctx, name).expr)
+    with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
+        with mock.patch.object(np.fft, "fft2", side_effect=np.fft.fft2) as fft2:
+            v = build_variety(ctx, name)
+    assert fft2.call_count == 2
+    assert np.array_equal(v.radius_counts, want)
 
 
 def test_transform_route_error_far_below_its_bound():
@@ -311,11 +329,10 @@ def test_one_transform_per_distinct_block(d, name, transforms):
     assert np.array_equal(v.radius_counts, want)
 
 
-def test_direct_pass_limits_of_pocketfft():
-    # _transform_error_bound charges the direct O(q^2) pass up to these
-    # lengths.  A real input with x_j = x_{q-j} has a real transform; the
-    # direct pass keeps it exactly real, Bluestein's chirps do not.  Check
-    # both limits and every prime above them the byte budget admits.
+def test_direct_pass_probe():
+    # _direct_pass asks numpy whether a length runs by the direct O(q^2)
+    # pass, from one symmetric input; a random symmetric input must get
+    # the same answer at every prime the byte budget admits at d = 3
     rng = np.random.default_rng(0)
 
     def direct(q, transform):
@@ -323,14 +340,21 @@ def test_direct_pass_limits_of_pocketfft():
         x[1:] += x[1:][::-1].copy()
         return not transform(x).imag.any()
 
-    assert direct(_DIRECT_COMPLEX_MAX_Q, np.fft.fft)
-    assert direct(_DIRECT_REAL_MAX_Q, np.fft.rfft)
-    largest = max(q for q in range(3, 10**4) if _route_bytes(q, 2, True) <= 8 * GRID_BUDGET)
-    for q in range(_DIRECT_COMPLEX_MAX_Q + 1, largest + 1):
+    largest = max(q for q in range(3, 10**4) if _route_bytes(q, 2, "real") <= 8 * GRID_BUDGET)
+    for q in range(3, largest + 1):
         if is_odd_prime(q):
-            assert not direct(q, np.fft.fft), q
-            if q > _DIRECT_REAL_MAX_Q:
-                assert not direct(q, np.fft.rfft), q
+            assert _direct_pass(q, False) == direct(q, np.fft.fft), q
+            assert _direct_pass(q, True) == direct(q, np.fft.rfft), q
+    assert _direct_pass(3, False) and _direct_pass(3, True)
+    assert not _direct_pass(largest, False) and not _direct_pass(largest, True)
+
+
+def test_direct_pass_is_charged():
+    # the bound charges the direct pass's sqrt(q) growth wherever the probe
+    # reports it, so a direct pass at q = 1009 would leave no transform route
+    assert _counts_route(1009, 4) == "real"
+    with mock.patch.object(ffharm.varieties, "_direct_pass", return_value=True):
+        assert _counts_route(1009, 4) == "int64"
 
 
 def test_byte_budget_refuses_before_any_transform():
@@ -345,14 +369,13 @@ def test_byte_budget_refuses_before_any_transform():
 
 @pytest.mark.parametrize("q,d", [(2003, 3), (1009, 4), (31, 10)])
 def test_byte_budget_admits(q, d):
-    transform = _transform_error_bound(q, d) < 0.5
-    assert _route_bytes(q, d, transform) <= 8 * GRID_BUDGET
+    assert _route_bytes(q, d, _counts_route(q, d)) <= 8 * GRID_BUDGET
     assert build_variety(FieldCtx(q, d), "paraboloid").cardinality == q ** (d - 1)
 
 
 @pytest.mark.parametrize("src", ["x1^2+x2^2-x3", "x1^2+x2^2+x3^2-x4", "x1^3+x2^3-1"])
-@pytest.mark.parametrize("transform", [True, False])
-def test_route_bytes_bound_the_traced_peak(src, transform):
+@pytest.mark.parametrize("route", ["real", "complex", "int64"])
+def test_route_bytes_bound_the_traced_peak(src, route):
     # one-variable blocks, so the enumeration holds O(q) points; numpy
     # reports its arrays to tracemalloc.  The slack, under one q x q table,
     # covers O(q) arrays and a ufunc's fixed casting buffer; the estimate is
@@ -362,9 +385,8 @@ def test_route_bytes_bound_the_traced_peak(src, transform):
     q = 211
     d = src.count("x")
     ctx, expr = FieldCtx(q, d), parse_poly(src, d)
-    need = _route_bytes(q, len(_blocks(expr, d)[0]), transform)
-    bound = 0.0 if transform else math.inf
-    with mock.patch.object(ffharm.varieties, "_transform_error_bound", return_value=bound):
+    need = _route_bytes(q, len(_blocks(expr, d)[0]), route)
+    with mock.patch.object(ffharm.varieties, "_counts_route", return_value=route):
         tracemalloc.start()
         try:
             _radius_counts(ctx, expr)
