@@ -8,9 +8,10 @@ a term share a block), so P = sum_B f_B(x_B) + c.  Each block is
 enumerated on its own, q^|B| points, into a q x q table of (f_B, block
 norm) pairs; the cyclic convolution of the tables on Z_q x Z_q is the
 joint histogram of (P - c, ||x||), and its row where P = 0 holds
-|V cap S_t| for every radius t.  The convolution is a product of real
-2-D FFTs, one per distinct block, rounded to integers under an a-priori
-error bound, O(d q^2 log q) for a separable P such as the paraboloid;
+|V cap S_t| for every radius t.  The convolution is a product of 2-D
+discrete Fourier transforms, one per distinct block, rounded to integers
+under an a-priori error bound: products with the DFT matrix for small q,
+real FFTs above, O(d q^2 log q) for a separable P such as the paraboloid;
 past that bound it is the exact int64 convolution, O(d q^3).  One block
 of all d variables costs one evaluation on the grid.
 
@@ -466,7 +467,7 @@ def _direct_pass(q: int, real: bool) -> bool:
 
 
 def _pass_error(q: int, direct: bool) -> float:
-    """Normwise relative error bound of one length-q pass; see ``_transform_error_bound``."""
+    """Normwise relative error bound of one length-q pocketfft pass; see ``_transform_error_bound``."""
     bluestein = _ETA * (3 * math.ceil(math.log2(2 * q - 1)) + 2)
     if not direct:
         return bluestein
@@ -474,56 +475,96 @@ def _pass_error(q: int, direct: bool) -> float:
     return max(bluestein, math.sqrt(q) * (_ETA + gamma + _ETA * gamma))
 
 
-def _transform_error_bound(q: int, d: int, real: bool = True) -> float:
+# the largest q transformed as products with the DFT matrix: on a 2-vCPU
+# VM BLAS took 0.2-0.5 of pocketfft's time from q = 31 to 211, and broke
+# even around q = 450
+_MATRIX_DFT_MAX_Q = 211
+
+# the largest |computed - exact| of an entry of _dft_matrix: its angle
+# 2 pi m / q, with |m| <= q / 2, is off by at most 3 pi u, and np.cos and
+# np.sin by at most 4 ulp
+_WEIGHT_ERROR = (3 * math.pi + 4 * math.sqrt(2)) * _U
+
+
+def _dft_matrix(q: int) -> np.ndarray:
+    """The q x q matrix of exp(-2 pi i jk / q), each entry within _WEIGHT_ERROR."""
+    m = np.arange(q)
+    theta = -2 * np.pi * np.where(2 * m > q, m - q, m) / q
+    roots = np.cos(theta) + 1j * np.sin(theta)
+    return roots[np.outer(m, m) % q]
+
+
+def _matrix_rfft2(table: np.ndarray, dft: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft2(table)`` as two products with the DFT matrix."""
+    return dft @ (table @ dft[:, : len(dft) // 2 + 1])
+
+
+def _matrix_irfft2(half: np.ndarray, dft: np.ndarray) -> np.ndarray:
+    """``np.fft.irfft2(half, s=(q, q))`` for odd q as two products with the conjugate DFT matrix."""
+    q = len(dft)
+    inverse = dft.conj()
+    z = inverse @ half
+    z[:, 1:] *= 2  # the columns the half spectrum stands for twice
+    return (z @ inverse[: q // 2 + 1]).real / (q * q)
+
+
+def _transform_error_bound(q: int, d: int, route: str = "real") -> float:
     """A-priori bound on max |fl(H) - H| for a transform route of ``_radius_counts``.
 
-    ``real`` picks the route of ``rfft2`` and ``irfft2``, else that of
-    ``fft2`` and ``ifft2``.  Write u = 2^-53, gamma_k = k u / (1 - k u),
-    and following Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Sec. 24.1, let eta = u + gamma_4 (sqrt 2 + u), the error
-    of one product by an accurately computed weight.  A transform made of
-    t passes has normwise relative error at most t eta / (1 - t eta).
-    pocketfft runs a prime length q in one of two ways (``_direct_pass``
-    asks which), each charged in ``_pass_error``:
+    ``route`` is "matrix" (``_matrix_rfft2`` and ``_matrix_irfft2``),
+    "real" (``rfft2`` and ``irfft2``) or "complex" (``fft2`` and
+    ``ifft2``).  Write u = 2^-53, gamma_k = k u / (1 - k u), and following
+    Higham, *Accuracy and Stability of Numerical Algorithms*, Sec. 24.1,
+    let eta = u + gamma_4 (sqrt 2 + u), the error of one product by an
+    accurately computed weight.  A transform made of t passes has normwise
+    relative error at most t eta / (1 - t eta).
 
-    - Bluestein's algorithm: two chirp products and three transforms of
-      one length m <= 2^ceil(log2(2q - 1)), each at most log2 m passes,
-      so eps_B = eta (3 ceil(log2(2q - 1)) + 2).
-    - the direct O(q^2) pass: each output is a sum of q products, so its
-      error is at most (eta + gamma_q + eta gamma_q) ||x||_1 <= that times
-      sqrt(q) ||x||_2, and over the q outputs, whose exact norm is
-      sqrt(q) ||x||_2, eps_D = sqrt(q) (eta + gamma_q + eta gamma_q);
-      it is charged max(eps_D, eps_B).
+    Passes.  Each 2-D transform is a pass along the rows and one along the
+    columns, each charged a normwise relative error:
 
-    On numpy 2.4 the direct pass runs primes up to 109 in the complex
-    transform and up to 269 in the real one.
+    - pocketfft's Bluestein algorithm: two chirp products and three
+      transforms of one length m <= 2^ceil(log2(2q - 1)), each at most
+      log2 m passes, so eps_B = eta (3 ceil(log2(2q - 1)) + 2).
+    - pocketfft's direct O(q^2) pass, which ``_direct_pass`` asks numpy
+      about (on numpy 2.4 it runs primes up to 109 in the complex
+      transform and up to 269 in the real one): each output is a sum of
+      q products, so its error is at most (eta + gamma_q + eta gamma_q)
+      ||x||_1 <= that times sqrt(q) ||x||_2, and over the q outputs, whose
+      exact norm is sqrt(q) ||x||_2, eps_D = sqrt(q) (eta + gamma_q +
+      eta gamma_q); it is charged max(eps_D, eps_B) (``_pass_error``).
+    - a product with ``_dft_matrix``, whose entries are within
+      mu = _WEIGHT_ERROR: BLAS forms each output as a complex dot product
+      of length q, whose real and imaginary parts are real dot products of
+      length 2q, so its error is at most (mu + sqrt(2) gamma_{2q} (1 + mu))
+      ||x||_1 and, as above, eps_M = sqrt(q) (mu + sqrt(2) gamma_{2q}
+      (1 + mu)).  The last pass sums only q // 2 + 1 terms, which leaves
+      room in gamma_{2q} for its division by q^2.
 
     Norms.  Each block table T_k of n_k variables has entries summing to
     q^{n_k}.  Its column t sums to the n_k-dimensional sphere size
     |S_t| <= 2 q^{n_k - 1} (for n_k = 1, |S_t| = #{y : y^2 = t} <= 2), which
     bounds every entry, so ||T_k||_F <= sqrt(2/q) q^{n_k}; likewise
     ||H||_F <= sqrt(2/q) q^d.  The exact spectrum X_k of T_k has
-    ||X_k||_F = q ||T_k||_F and |X_k| <= q^{n_k} entrywise.  On the real
-    route X_k is the half spectrum of the q // 2 + 1 columns rfft2 keeps,
-    measured in the norm N that counts every column but the first twice:
-    N is the Frobenius norm of the full spectrum it stands for, so
-    N(X_k) = q ||T_k||_F too, and irfft2 maps a half spectrum E to an
-    array of Frobenius norm at most N(E) / q.
+    ||X_k||_F = q ||T_k||_F and |X_k| <= q^{n_k} entrywise.  The matrix
+    and real routes keep the half spectrum of q // 2 + 1 columns, measured
+    in the norm N that counts every column but the first twice: N is the
+    Frobenius norm of the full spectrum it stands for, so N(X_k) =
+    q ||T_k||_F too, and the inverse maps a half spectrum E to an array of
+    Frobenius norm at most N(E) / q.
 
-    Passes.  With eps_c the bound of a complex pass:
+    Routes.  A complex pass along the columns keeps its relative error in
+    N, and so does a pass whose outputs are each bounded through ||x||_1,
+    as the direct and matrix passes are.  pocketfft's Bluestein real pass
+    is a complex one whose first half is kept, and that half can hold all
+    of its error, so it is charged sqrt(2) eps_B in N.  With eps_c the
+    charge of a complex pocketfft pass and eps_r that of a real one:
 
-    - fft2 and ifft2 are two complex passes, eps_f = eps_i = 2 eps_c + eps_c^2.
-    - rfft2 is a real pass along the rows, then a complex pass along the
-      kept columns, which keeps its relative error in N.  A direct real
-      pass is charged eps_r = _pass_error in N as well, each output of
-      the half being off by the same per-entry bound.  pocketfft's
-      Bluestein real pass is a complex one whose first half is kept, and
-      that half can hold all of its error, so it is charged sqrt(2) eps_r
-      in N.  So eps_f = eps_r' + eps_c + eps_r' eps_c, with eps_r' that
-      charge.
-    - irfft2 is a complex pass along the columns and a real pass along
-      the rows, which reads the Hermitian extension of each row, of norm
-      N, so eps_i = eps_r + eps_c + eps_r eps_c.
+    - matrix: eps_f = eps_i = 2 eps_M + eps_M^2.
+    - real: rfft2 is a real pass, then a complex one, so eps_f = eps_r' +
+      eps_c + eps_r' eps_c, where eps_r' is eps_r, times sqrt(2) for
+      Bluestein's; irfft2 is a complex pass, then a real one reading the
+      Hermitian extension of each row, so eps_i = eps_r + eps_c + eps_r eps_c.
+    - complex: eps_f = eps_i = 2 eps_c + eps_c^2.
 
     The computed spectra are off by E_k with N(E_k) <= eps_f q ||T_k||_F.
     At most d blocks enter the product P, whose d - 1 complex products
@@ -537,19 +578,25 @@ def _transform_error_bound(q: int, d: int, real: bool = True) -> float:
     The returned bound is this times _TRANSFORM_SAFETY = 10, which covers
     the second-order terms, Bluestein's convolution (whose growth the
     normwise model does not see) and pocketfft's radices above 2.  It
-    depends on q, d and the route alone.  On the real route it is about
-    1.1e-4 at (1009, 3), 0.14 at (1009, 4), 4.0e-3 at (4001, 3) and
-    1.1e3 at (31, 10); on the complex route, 0.12 at (1009, 4).
+    depends on q, d, the route and the installed numpy's FFT planner
+    alone: on the real route about 1.1e-4 at (1009, 3), 0.14 at (1009, 4)
+    and 4.0e-3 at (4001, 3), on the complex route 0.12 at (1009, 4), and
+    on the matrix route 1.3e-4 at (61, 4) and 1.9e-3 at (211, 3).
     """
-    eps_c = _pass_error(q, _direct_pass(q, False))
-    if real:
-        direct = _direct_pass(q, True)
-        eps_r = _pass_error(q, direct)
-        eps_rf = eps_r if direct else math.sqrt(2) * eps_r
-        eps_f = eps_rf + eps_c + eps_rf * eps_c
-        eps_i = eps_r + eps_c + eps_r * eps_c
+    if route == "matrix":
+        gamma = 2 * q * _U / (1 - 2 * q * _U)
+        eps_m = math.sqrt(q) * (_WEIGHT_ERROR + math.sqrt(2) * gamma * (1 + _WEIGHT_ERROR))
+        eps_f = eps_i = 2 * eps_m + eps_m * eps_m
     else:
-        eps_f = eps_i = 2 * eps_c + eps_c * eps_c
+        eps_c = _pass_error(q, _direct_pass(q, False))
+        if route == "real":
+            direct = _direct_pass(q, True)
+            eps_r = _pass_error(q, direct)
+            eps_rf = eps_r if direct else math.sqrt(2) * eps_r
+            eps_f = eps_rf + eps_c + eps_rf * eps_c
+            eps_i = eps_r + eps_c + eps_r * eps_c
+        else:
+            eps_f = eps_i = 2 * eps_c + eps_c * eps_c
     first_order = d * eps_f + eps_i + (d - 1) * 2 * math.sqrt(2) * _U
     return _TRANSFORM_SAFETY * math.sqrt(2 / q) * float(q) ** d * first_order
 
@@ -557,18 +604,19 @@ def _transform_error_bound(q: int, d: int, real: bool = True) -> float:
 def _counts_route(q: int, d: int) -> str:
     """The route ``_radius_counts`` takes at (q, d).
 
-    "real" (rfft2) where its ``_transform_error_bound`` is below 1/2,
-    else "complex" (fft2) where that route's bound is, else "int64".  The
-    complex route's bound is the smaller one where pocketfft's real
-    transform is direct and its complex one is not, and where the real
-    route pays sqrt(2) for its Bluestein pass, so it keeps the transforms
-    up to the same q as before the real route: 1483 for d = 4, 293 for
-    d = 5.
+    The first of "matrix" (up to q = _MATRIX_DFT_MAX_Q), "real" and
+    "complex" whose ``_transform_error_bound`` is below 1/2, else "int64".
+    The matrix route is the fastest where it runs.  The complex route's
+    bound is the smaller one where pocketfft's real transform is direct
+    and its complex one is not, and where the real route pays sqrt(2) for
+    its Bluestein pass, so it keeps the transforms up to the same q as
+    before the real route: 1483 for d = 4, 293 for d = 5.
     """
-    if _transform_error_bound(q, d, real=True) < 0.5:
-        return "real"
-    if _transform_error_bound(q, d, real=False) < 0.5:
-        return "complex"
+    for route in ("matrix", "real", "complex"):
+        if route == "matrix" and q > _MATRIX_DFT_MAX_Q:
+            continue
+        if _transform_error_bound(q, d, route) < 0.5:
+            return route
     return "int64"
 
 
@@ -605,19 +653,22 @@ def _route_bytes(q: int, blocks: int, route: str) -> int:
     """Peak bytes of the arrays one route of ``_radius_counts`` holds at once.
 
     A q x q int64 or float64 table takes 8 q^2 bytes, a complex128
-    spectrum 16 q^2, and a half spectrum 16 q (q // 2 + 1).  A transform
+    spectrum 16 q^2, and a half spectrum 16 q (q // 2 + 1).  A pocketfft
     route holds at most the spectrum and one block table while the
     forward transform holds the spectra of its two passes; after it, the
     inverse holds two spectra and its output, then that output and its
-    rounded int64 copy.  The int64 route holds every block table and
+    rounded int64 copy.  The matrix route's inverse holds the DFT matrix
+    and its conjugate, two half spectra, and the complex q x q product
+    with its real part.  The int64 route holds every block table and
     ``cyclic_convolve``'s output and its two temporaries.  The enumeration
     of a block is bounded by GRID_BUDGET points on its own.
     """
-    table = 8 * q * q
+    table, full, half = 8 * q * q, 16 * q * q, 16 * q * (q // 2 + 1)
     if route == "int64":
         return (blocks + 3) * table
-    spectrum = 16 * q * (q // 2 + 1) if route == "real" else 16 * q * q
-    return table + 3 * spectrum
+    if route == "matrix":
+        return 3 * full + 2 * half + table
+    return table + 3 * (half if route == "real" else full)
 
 
 def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
@@ -625,15 +676,16 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
 
     The joint histogram H[a, t] = #{x : P(x) - c = a, ||x|| = t} is the
     cyclic convolution on Z_q x Z_q of the block tables, and V is its row
-    a = -c.  Its entries sum to q^d < 2^63.  One of three routes computes
-    it, chosen by q, d and the installed numpy's FFT planner alone:
+    a = -c.  Its entries sum to q^d < 2^63.  ``_counts_route`` picks the
+    route from q, d and the installed numpy's FFT planner alone:
 
-    - a transform route, when ``_counts_route`` picks one: the product of
-      the tables' ``np.fft.rfft2`` half spectra, inverted by ``irfft2``, or
-      of their ``fft2`` spectra, inverted by ``ifft2``, rounded to int64.
-      Its ``_transform_error_bound`` is below 1/2, so every entry is
-      within 1/2 of its integer and rounding returns it exactly;
-      O(d q^2 log q).  Blocks that are one polynomial once renamed
+    - a transform route: the product of the tables' half spectra, by
+      products with the DFT matrix ("matrix", O(q^3) per transform, but
+      the fastest up to q = _MATRIX_DFT_MAX_Q) or by ``np.fft.rfft2``
+      ("real"), inverted likewise, or the product of their ``fft2``
+      spectra, inverted by ``ifft2`` ("complex"), rounded to int64.  Its
+      ``_transform_error_bound`` is below 1/2, so every entry is within
+      1/2 of its integer and rounding returns it exactly.  Blocks that are one polynomial once renamed
       (``_distinct_blocks``), such as the paraboloid's d - 1 squares, share
       one table and one transform, by which the spectrum is multiplied
       once per block.
@@ -656,7 +708,13 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
             f"over the budget of {8 * GRID_BUDGET}"
         )
     if route != "int64":
-        forward = np.fft.rfft2 if route == "real" else np.fft.fft2
+        if route == "matrix":
+            dft = _dft_matrix(q)
+        forward = {
+            "matrix": lambda table: _matrix_rfft2(table, dft),
+            "real": np.fft.rfft2,
+            "complex": np.fft.fft2,
+        }[route]
         spectrum = None
         for (n, terms), count in _distinct_blocks(blocks).items():
             factor = forward(_block_table(ctx, frozenset(range(n)), terms))
@@ -667,7 +725,9 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
             for _ in range(count):
                 spectrum *= factor
             del factor
-        if route == "real":
+        if route == "matrix":
+            joint = _matrix_irfft2(spectrum, dft)
+        elif route == "real":
             joint = np.fft.irfft2(spectrum, s=(q, q))
         else:
             joint = np.fft.ifft2(spectrum).real

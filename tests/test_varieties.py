@@ -28,6 +28,7 @@ import ffharm.varieties
 from ffharm.field import GRID_BUDGET
 from ffharm.field import is_odd_prime
 from ffharm.varieties import (
+    _MATRIX_DFT_MAX_Q,
     Add,
     Lit,
     Mul,
@@ -37,10 +38,14 @@ from ffharm.varieties import (
     Var,
     _blocks,
     _counts_route,
+    _dft_matrix,
     _direct_pass,
+    _matrix_irfft2,
+    _matrix_rfft2,
     _radius_counts,
     _route_bytes,
     _transform_error_bound,
+    _WEIGHT_ERROR,
 )
 
 
@@ -251,7 +256,8 @@ def test_complex_route_where_the_real_bound_fails(q, name):
     # at d = 5 pocketfft's real transform of these lengths is direct or
     # pays sqrt(2) for Bluestein's, and only fft2's bound is below 1/2
     ctx = FieldCtx(q, 5)
-    assert _transform_error_bound(q, 5) >= 0.5 > _transform_error_bound(q, 5, real=False)
+    assert _transform_error_bound(q, 5) >= 0.5 > _transform_error_bound(q, 5, "complex")
+    assert _transform_error_bound(q, 5, "matrix") >= 0.5 or q > _MATRIX_DFT_MAX_Q
     assert _counts_route(q, 5) == "complex"
     want = _int64_route_counts(ctx, build_variety(ctx, name).expr)
     with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
@@ -286,7 +292,8 @@ def test_int64_route_past_the_bound():
     assert _transform_error_bound(31, 10) >= 0.5
     with mock.patch.object(np.fft, "fft2", side_effect=AssertionError):
         with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
-            v = build_variety(ctx, "paraboloid")
+            with mock.patch.object(ffharm.varieties, "_dft_matrix", side_effect=AssertionError):
+                v = build_variety(ctx, "paraboloid")
     # on the paraboloid ||x|| = x_d^2 + x_d, and x_1..x_{d-1} lie on the
     # 9-dimensional sphere of radius x_d
     y = np.arange(31)
@@ -296,6 +303,8 @@ def test_int64_route_past_the_bound():
 
 
 def test_broken_marginal_raises():
+    # on the real route; test_broken_matrix_marginal_raises covers the
+    # matrix route, which runs by default at q = 101
     real_irfft2 = np.fft.irfft2
 
     def off_by_one(*args, **kwargs):
@@ -303,11 +312,35 @@ def test_broken_marginal_raises():
         out[0, 0] += 1
         return out
 
-    with mock.patch.object(np.fft, "irfft2", side_effect=off_by_one):
+    with mock.patch.object(ffharm.varieties, "_counts_route", return_value="real"):
+        with mock.patch.object(np.fft, "irfft2", side_effect=off_by_one):
+            with pytest.raises(RoundingMismatch):
+                build_variety(FieldCtx(101, 3), "paraboloid")
+
+
+def test_broken_matrix_marginal_raises():
+    real_inverse = ffharm.varieties._matrix_irfft2
+
+    def off_by_one(*args):
+        out = real_inverse(*args)
+        out[0, 0] += 1
+        return out
+
+    assert _counts_route(101, 3) == "matrix"
+    with mock.patch.object(ffharm.varieties, "_matrix_irfft2", side_effect=off_by_one):
         with pytest.raises(RoundingMismatch):
             build_variety(FieldCtx(101, 3), "paraboloid")
 
 
+# the forward transform of each route, as (module, name)
+_FORWARD = {
+    "matrix": (ffharm.varieties, "_matrix_rfft2"),
+    "real": (np.fft, "rfft2"),
+    "complex": (np.fft, "fft2"),
+}
+
+
+@pytest.mark.parametrize("route", ["matrix", "real", "complex"])
 @pytest.mark.parametrize(
     "d,name,transforms",
     [
@@ -320,13 +353,63 @@ def test_broken_marginal_raises():
         (4, "poly:x1*x2+x3^2*x4", 2),
     ],
 )
-def test_one_transform_per_distinct_block(d, name, transforms):
+def test_one_transform_per_distinct_block(d, name, transforms, route):
     ctx = FieldCtx(101, d)
     want = _int64_route_counts(ctx, build_variety(ctx, name).expr)
-    with mock.patch.object(np.fft, "rfft2", side_effect=np.fft.rfft2) as rfft2:
-        v = build_variety(ctx, name)
-    assert rfft2.call_count == transforms
+    module, attr = _FORWARD[route]
+    with mock.patch.object(ffharm.varieties, "_counts_route", return_value=route):
+        with mock.patch.object(module, attr, side_effect=getattr(module, attr)) as forward:
+            v = build_variety(ctx, name)
+    assert forward.call_count == transforms
     assert np.array_equal(v.radius_counts, want)
+
+
+@pytest.mark.parametrize("q", [3, 61, 211])
+def test_matrix_transforms_match_pocketfft(q):
+    table = np.random.default_rng(q).integers(0, 9, (q, q))
+    dft = _dft_matrix(q)
+    half = np.fft.rfft2(table)
+    assert np.allclose(_matrix_rfft2(table, dft), half, rtol=0, atol=1e-9)
+    assert np.allclose(_matrix_irfft2(half, dft), table, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("d,last", [(4, 211), (5, 139), (6, 67), (10, 13)])
+def test_matrix_route_up_to_the_stated_q(d, last):
+    # the matrix route's bound does not depend on numpy's FFT planner, so
+    # the primes it takes are fixed by q and d: all of them up to last
+    primes = [q for q in range(3, _MATRIX_DFT_MAX_Q + 50) if is_odd_prime(q)]
+    assert [q for q in primes if _counts_route(q, d) == "matrix"] == [q for q in primes if q <= last]
+
+
+def test_dft_matrix_within_its_weight_error():
+    # against angles and roots in long double, which has a 64-bit
+    # significand on x86-64; where it is double, this compares less
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for q in (3, 61, _MATRIX_DFT_MAX_Q):
+        m = np.arange(q)
+        theta = -2 * pi * (np.outer(m, m) % q).astype(np.longdouble) / q
+        err = np.hypot(
+            (np.cos(theta) - _dft_matrix(q).real).astype(float),
+            (np.sin(theta) - _dft_matrix(q).imag).astype(float),
+        )
+        assert err.max() <= _WEIGHT_ERROR
+
+
+def test_matrix_route_error_far_below_its_bound():
+    # the largest q and d the matrix route takes the paraboloid to; its
+    # unrounded output lies within 1/100 of the bound of the integers
+    real_inverse, unrounded = ffharm.varieties._matrix_irfft2, []
+
+    def keep(*args):
+        out = real_inverse(*args)
+        unrounded.append(out.copy())  # the caller rounds out in place
+        return out
+
+    assert _counts_route(_MATRIX_DFT_MAX_Q, 4) == "matrix"
+    with mock.patch.object(ffharm.varieties, "_matrix_irfft2", side_effect=keep):
+        build_variety(FieldCtx(_MATRIX_DFT_MAX_Q, 4), "paraboloid")
+    (H,) = unrounded
+    assert np.abs(H - np.rint(H)).max() <= _transform_error_bound(_MATRIX_DFT_MAX_Q, 4, "matrix") / 100
 
 
 def test_direct_pass_probe():
@@ -374,7 +457,7 @@ def test_byte_budget_admits(q, d):
 
 
 @pytest.mark.parametrize("src", ["x1^2+x2^2-x3", "x1^2+x2^2+x3^2-x4", "x1^3+x2^3-1"])
-@pytest.mark.parametrize("route", ["real", "complex", "int64"])
+@pytest.mark.parametrize("route", ["matrix", "real", "complex", "int64"])
 def test_route_bytes_bound_the_traced_peak(src, route):
     # one-variable blocks, so the enumeration holds O(q) points; numpy
     # reports its arrays to tracemalloc.  The slack, under one q x q table,
