@@ -581,7 +581,7 @@ def _transform_error_bound(q: int, d: int, route: str = "real") -> float:
     depends on q, d, the route and the installed numpy's FFT planner
     alone: on the real route about 1.1e-4 at (1009, 3), 0.14 at (1009, 4)
     and 4.0e-3 at (4001, 3), on the complex route 0.12 at (1009, 4), and
-    on the matrix route 1.3e-4 at (61, 4) and 1.9e-3 at (211, 3).
+    on the matrix route 4.1e-5 at (61, 4) and 0.019 at (211, 4).
     """
     if route == "matrix":
         gamma = 2 * q * _U / (1 - 2 * q * _U)
