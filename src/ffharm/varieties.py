@@ -476,8 +476,8 @@ def _pass_error(q: int, direct: bool) -> float:
 
 
 # the largest q transformed as products with the DFT matrix: on a 2-vCPU
-# VM BLAS took 0.2-0.5 of pocketfft's time from q = 31 to 211, and broke
-# even around q = 450
+# VM BLAS took 0.2-0.5 of pocketfft's time from q = 31 to 211, and the two
+# crossed over, noisily, between q = 400 and 700
 _MATRIX_DFT_MAX_Q = 211
 
 # the largest |computed - exact| of an entry of _dft_matrix: its angle
