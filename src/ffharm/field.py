@@ -150,9 +150,8 @@ def cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``out[u] = sum_v a[v] b[u - v]``, indices mod q: ``a`` is shifted once
     per nonzero of ``b``, so pass the sparser table as ``b``.  Integers
     only, so the result is exact while its entries stay below 2^63.  It is
-    the route of ``varieties._radius_counts`` past the float transform's
-    error bound, and the oracle of that transform and of the closed-form
-    ``spheres.sphere_sizes`` in the tests.
+    the test oracle of ``varieties._radius_counts`` and of the closed-form
+    ``spheres.sphere_sizes``.
     """
     axes = tuple(range(a.ndim))
     out = np.zeros_like(a)

@@ -4,16 +4,15 @@ Built-ins (paraboloid, plane, sphere of a given radius) and arbitrary
 user polynomials over variables x1..xd share a single code path, which
 counts V by sphere radius without enumerating F_q^d.  The top-level
 additive terms of P split its variables into blocks (variables that share
-a term share a block), so P = sum_B f_B(x_B) + c.  Each block is
-enumerated on its own, q^|B| points, into a q x q table of (f_B, block
-norm) pairs; the cyclic convolution of the tables on Z_q x Z_q is the
+a term share a block), so P = sum_B f_B(x_B) + c.  The cyclic convolution
+on Z_q x Z_q of the blocks' tables of (f_B, block norm) pairs is the
 joint histogram of (P - c, ||x||), and its row where P = 0 holds
-|V cap S_t| for every radius t.  The convolution is a product of 2-D
-discrete Fourier transforms, one per distinct block, rounded to integers
-under an a-priori error bound: products with the DFT matrix for small q,
-real FFTs above, O(d q^2 log q) for a separable P such as the paraboloid;
-past that bound it is the exact int64 convolution, O(d q^3).  One block
-of all d variables costs one evaluation on the grid.
+|V cap S_t| for every radius t.  The convolution is a product of exact
+2-D discrete Fourier transforms modulo word-size primes p = 1 (mod q),
+one per distinct block, joined by the CRT: a one-variable block costs
+one q x q float64 matrix product per prime, so a separable P such as the
+paraboloid costs O(q^3) per prime at any d.  A block of k >= 2 variables is enumerated on its own, q^k
+points; one block of all d variables costs one evaluation on the grid.
 
 The points of V themselves (``Variety.flat``, lex flat indices) come from
 evaluating P by broadcasting over the d coordinate axes, on demand and
@@ -50,7 +49,7 @@ from .errors import (
     TooLarge,
     UnknownVariable,
 )
-from .field import GRID_BUDGET, FieldCtx, cyclic_convolve
+from .field import GRID_BUDGET, FieldCtx, is_odd_prime
 from .spheres import sphere_sizes
 
 
@@ -424,200 +423,27 @@ def _blocks(expr: PolyExpr, d: int):
     return blocks, constants
 
 
+def _sum_terms(terms, coords, q: int):
+    """The sum of the signed terms mod q, evaluated by ``_eval_axes`` on the open mesh coords."""
+    return sum(sign * _eval_axes(term, coords, q) for sign, term in terms) % q
+
+
 def _block_table(ctx: FieldCtx, axes: frozenset[int], terms) -> np.ndarray:
     """The q x q table F[a, t] = #{y in F_q^axes : f(y) = a, ||y|| = t}.
 
-    f is the sum of the signed terms, evaluated by ``_eval_axes`` on the
-    open mesh of the block's axes, so the cost is q^|axes| points.
+    f is the sum of the signed terms, evaluated on the open mesh of the
+    block's axes, so the cost is q^|axes| points.
     """
     q, n = ctx.q, len(axes)
-    ctx.check_budget(n)
     mesh = np.ix_(*[np.arange(q, dtype=np.int64)] * n)
     coords: list = [None] * ctx.d
     for k, axis in zip(sorted(axes), mesh):
         coords[k] = axis
-    value = sum(sign * _eval_axes(term, coords, q) for sign, term in terms) % q
+    value = _sum_terms(terms, coords, q)
     squares = np.arange(q, dtype=np.int64) ** 2 % q
     norm = sum(squares[axis] for axis in mesh) % q
     pairs = np.broadcast_to(value, (q,) * n) * q + norm
     return np.bincount(pairs.ravel(), minlength=q * q).reshape(q, q)
-
-
-# the factor _transform_error_bound's first-order model is multiplied by
-_TRANSFORM_SAFETY = 10
-
-_U = 2.0**-53  # unit roundoff of IEEE double
-_ETA = _U + 4 * _U / (1 - 4 * _U) * (math.sqrt(2) + _U)
-
-
-@lru_cache(maxsize=None)
-def _direct_pass(q: int, real: bool) -> bool:
-    """Whether numpy's pocketfft runs length q by its direct O(q^2) pass.
-
-    Asked of the installed numpy, real or complex transform, rather than
-    of a table of its planner's choices.  The direct pass pairs x_j with
-    x_{q-j}, so a real input with x_j = x_{q-j} gets an exactly real
-    transform from it; Bluestein's chirps leave rounding in the imaginary
-    parts.  A Bluestein transform that came out exactly real would only
-    be charged the larger direct-pass error.
-    """
-    y = np.sqrt(np.arange(1.0, q))
-    x = np.concatenate(([1.0], y + y[::-1]))
-    return not (np.fft.rfft(x) if real else np.fft.fft(x)).imag.any()
-
-
-def _pass_error(q: int, direct: bool) -> float:
-    """Normwise relative error bound of one length-q pocketfft pass; see ``_transform_error_bound``."""
-    bluestein = _ETA * (3 * math.ceil(math.log2(2 * q - 1)) + 2)
-    if not direct:
-        return bluestein
-    gamma = q * _U / (1 - q * _U)
-    return max(bluestein, math.sqrt(q) * (_ETA + gamma + _ETA * gamma))
-
-
-# the largest q transformed as products with the DFT matrix: on a 2-vCPU
-# VM BLAS took 0.2-0.5 of pocketfft's time from q = 31 to 211, and the two
-# crossed over, noisily, between q = 400 and 700
-_MATRIX_DFT_MAX_Q = 211
-
-# the largest |computed - exact| of an entry of _dft_matrix: its angle
-# 2 pi m / q, with |m| <= q / 2, is off by at most 3 pi u, and np.cos and
-# np.sin by at most 4 ulp
-_WEIGHT_ERROR = (3 * math.pi + 4 * math.sqrt(2)) * _U
-
-
-def _dft_matrix(q: int) -> np.ndarray:
-    """The q x q matrix of exp(-2 pi i jk / q), each entry within _WEIGHT_ERROR."""
-    m = np.arange(q)
-    theta = -2 * np.pi * np.where(2 * m > q, m - q, m) / q
-    roots = np.cos(theta) + 1j * np.sin(theta)
-    return roots[np.outer(m, m) % q]
-
-
-def _matrix_rfft2(table: np.ndarray, dft: np.ndarray) -> np.ndarray:
-    """``np.fft.rfft2(table)`` as two products with the DFT matrix."""
-    return dft @ (table @ dft[:, : len(dft) // 2 + 1])
-
-
-def _matrix_irfft2(half: np.ndarray, dft: np.ndarray) -> np.ndarray:
-    """``np.fft.irfft2(half, s=(q, q))`` for odd q as two products with the conjugate DFT matrix."""
-    q = len(dft)
-    inverse = dft.conj()
-    z = inverse @ half
-    z[:, 1:] *= 2  # the columns the half spectrum stands for twice
-    return (z @ inverse[: q // 2 + 1]).real / (q * q)
-
-
-def _transform_error_bound(q: int, d: int, route: str = "real") -> float:
-    """A-priori bound on max |fl(H) - H| for a transform route of ``_radius_counts``.
-
-    ``route`` is "matrix" (``_matrix_rfft2`` and ``_matrix_irfft2``),
-    "real" (``rfft2`` and ``irfft2``) or "complex" (``fft2`` and
-    ``ifft2``).  Write u = 2^-53, gamma_k = k u / (1 - k u), and following
-    Higham, *Accuracy and Stability of Numerical Algorithms*, Sec. 24.1,
-    let eta = u + gamma_4 (sqrt 2 + u), the error of one product by an
-    accurately computed weight.  A transform made of t passes has normwise
-    relative error at most t eta / (1 - t eta).
-
-    Passes.  Each 2-D transform is a pass along the rows and one along the
-    columns, each charged a normwise relative error:
-
-    - pocketfft's Bluestein algorithm: two chirp products and three
-      transforms of one length m <= 2^ceil(log2(2q - 1)), each at most
-      log2 m passes, so eps_B = eta (3 ceil(log2(2q - 1)) + 2).
-    - pocketfft's direct O(q^2) pass, which ``_direct_pass`` asks numpy
-      about (on numpy 2.4 it runs primes up to 109 in the complex
-      transform and up to 269 in the real one): each output is a sum of
-      q products, so its error is at most (eta + gamma_q + eta gamma_q)
-      ||x||_1 <= that times sqrt(q) ||x||_2, and over the q outputs, whose
-      exact norm is sqrt(q) ||x||_2, eps_D = sqrt(q) (eta + gamma_q +
-      eta gamma_q); it is charged max(eps_D, eps_B) (``_pass_error``).
-    - a product with ``_dft_matrix``, whose entries are within
-      mu = _WEIGHT_ERROR: BLAS forms each output as a complex dot product
-      of length q, whose real and imaginary parts are real dot products of
-      length 2q, so its error is at most (mu + sqrt(2) gamma_{2q} (1 + mu))
-      ||x||_1 and, as above, eps_M = sqrt(q) (mu + sqrt(2) gamma_{2q}
-      (1 + mu)).  The last pass sums only q // 2 + 1 terms, which leaves
-      room in gamma_{2q} for its division by q^2.
-
-    Norms.  Each block table T_k of n_k variables has entries summing to
-    q^{n_k}.  Its column t sums to the n_k-dimensional sphere size
-    |S_t| <= 2 q^{n_k - 1} (for n_k = 1, |S_t| = #{y : y^2 = t} <= 2), which
-    bounds every entry, so ||T_k||_F <= sqrt(2/q) q^{n_k}; likewise
-    ||H||_F <= sqrt(2/q) q^d.  The exact spectrum X_k of T_k has
-    ||X_k||_F = q ||T_k||_F and |X_k| <= q^{n_k} entrywise.  The matrix
-    and real routes keep the half spectrum of q // 2 + 1 columns, measured
-    in the norm N that counts every column but the first twice: N is the
-    Frobenius norm of the full spectrum it stands for, so N(X_k) =
-    q ||T_k||_F too, and the inverse maps a half spectrum E to an array of
-    Frobenius norm at most N(E) / q.
-
-    Routes.  A complex pass along the columns keeps its relative error in
-    N, and so does a pass whose outputs are each bounded through ||x||_1,
-    as the direct and matrix passes are.  pocketfft's Bluestein real pass
-    is a complex one whose first half is kept, and that half can hold all
-    of its error, so it is charged sqrt(2) eps_B in N.  With eps_c the
-    charge of a complex pocketfft pass and eps_r that of a real one:
-
-    - matrix: eps_f = eps_i = 2 eps_M + eps_M^2.
-    - real: rfft2 is a real pass, then a complex one, so eps_f = eps_r' +
-      eps_c + eps_r' eps_c, where eps_r' is eps_r, times sqrt(2) for
-      Bluestein's; irfft2 is a complex pass, then a real one reading the
-      Hermitian extension of each row, so eps_i = eps_r + eps_c + eps_r eps_c.
-    - complex: eps_f = eps_i = 2 eps_c + eps_c^2.
-
-    The computed spectra are off by E_k with N(E_k) <= eps_f q ||T_k||_F.
-    At most d blocks enter the product P, whose d - 1 complex products
-    round by at most 2 sqrt(2) u each (Higham, Lemma 3.5), so to first
-    order N(fl(P) - P) <= q sqrt(2/q) q^d (d eps_f + (d - 1) 2 sqrt(2) u).
-    The inverse divides that by q and adds its own eps_i ||H||_F.  The
-    max norm is at most the Frobenius norm, so
-
-        max |fl(H) - H| <= sqrt(2/q) q^d (d eps_f + eps_i + (d - 1) 2 sqrt(2) u).
-
-    The returned bound is this times _TRANSFORM_SAFETY = 10, which covers
-    the second-order terms, Bluestein's convolution (whose growth the
-    normwise model does not see) and pocketfft's radices above 2.  It
-    depends on q, d, the route and the installed numpy's FFT planner
-    alone: on the real route about 1.1e-4 at (1009, 3), 0.14 at (1009, 4)
-    and 4.0e-3 at (4001, 3), on the complex route 0.12 at (1009, 4), and
-    on the matrix route 4.1e-5 at (61, 4) and 0.019 at (211, 4).
-    """
-    if route == "matrix":
-        gamma = 2 * q * _U / (1 - 2 * q * _U)
-        eps_m = math.sqrt(q) * (_WEIGHT_ERROR + math.sqrt(2) * gamma * (1 + _WEIGHT_ERROR))
-        eps_f = eps_i = 2 * eps_m + eps_m * eps_m
-    else:
-        eps_c = _pass_error(q, _direct_pass(q, False))
-        if route == "real":
-            direct = _direct_pass(q, True)
-            eps_r = _pass_error(q, direct)
-            eps_rf = eps_r if direct else math.sqrt(2) * eps_r
-            eps_f = eps_rf + eps_c + eps_rf * eps_c
-            eps_i = eps_r + eps_c + eps_r * eps_c
-        else:
-            eps_f = eps_i = 2 * eps_c + eps_c * eps_c
-    first_order = d * eps_f + eps_i + (d - 1) * 2 * math.sqrt(2) * _U
-    return _TRANSFORM_SAFETY * math.sqrt(2 / q) * float(q) ** d * first_order
-
-
-def _counts_route(q: int, d: int) -> str:
-    """The route ``_radius_counts`` takes at (q, d).
-
-    The first of "matrix" (up to q = _MATRIX_DFT_MAX_Q), "real" and
-    "complex" whose ``_transform_error_bound`` is below 1/2, else "int64".
-    The matrix route is the fastest where it runs.  The complex route's
-    bound is the smaller one where pocketfft's real transform is direct
-    and its complex one is not, and where the real route pays sqrt(2) for
-    its Bluestein pass, so it keeps the transforms up to the same q as
-    before the real route: 1483 for d = 4, 293 for d = 5.
-    """
-    for route in ("matrix", "real", "complex"):
-        if route == "matrix" and q > _MATRIX_DFT_MAX_Q:
-            continue
-        if _transform_error_bound(q, d, route) < 0.5:
-            return route
-    return "int64"
 
 
 def _renamed(expr: PolyExpr, index: dict[int, int]) -> PolyExpr:
@@ -649,26 +475,105 @@ def _distinct_blocks(blocks) -> dict:
     return counts
 
 
-def _route_bytes(q: int, blocks: int, route: str) -> int:
-    """Peak bytes of the arrays one route of ``_radius_counts`` holds at once.
+@lru_cache(maxsize=None)
+def _moduli(q: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """The fewest primes p = 1 (mod q) whose product exceeds bound, each with a w of order q mod p.
 
-    A q x q int64 or float64 table takes 8 q^2 bytes, a complex128
-    spectrum 16 q^2, and a half spectrum 16 q (q // 2 + 1).  A pocketfft
-    route holds at most the spectrum and one block table while the
-    forward transform holds the spectra of its two passes; after it, the
-    inverse holds two spectra and its output, then that output and its
-    rounded int64 copy.  The matrix route's inverse holds the DFT matrix
-    and its conjugate, two half spectra, and the complex q x q product
-    with its real part.  The int64 route holds every block table and
-    ``cyclic_convolve``'s output and its two temporaries.  The enumeration
-    of a block is bounded by GRID_BUDGET points on its own.
+    Each p is the largest left with q (p/2 + 2)^2 + p < 2^53.  ``_reduce``
+    leaves residues within p/2 + 2 of 0, so a dot product of q of them,
+    its partial sums and the multiple of p that ``_reduce`` subtracts from
+    it are integers below 2^53, which float64, and so BLAS, holds exactly
+    (the word-size prime fields of Dumas, Giorgi and Pernet, ACM TOMS
+    35(3), 2008).
     """
-    table, full, half = 8 * q * q, 16 * q * q, 16 * q * (q // 2 + 1)
-    if route == "int64":
-        return (blocks + 3) * table
-    if route == "matrix":
-        return 3 * full + 2 * half + table
-    return table + 3 * (half if route == "real" else full)
+    moduli, product = [], 1
+    top = math.isqrt(2**55 // q) // q  # p = 1 + kq < 2 sqrt(2^53 / q)
+    for k in range(top - top % 2, 0, -2):  # p odd
+        p = 1 + k * q
+        if q * (p + 4) ** 2 + 4 * p < 2**55 and is_odd_prime(p):
+            # w != 1 with w^q = 1 has order q, as q is prime
+            w = next(w for g in range(2, p) if (w := pow(g, (p - 1) // q, p)) != 1)
+            moduli.append((p, w))
+            product *= p
+            if product > bound:
+                return tuple(moduli)
+    raise TooLarge(f"too few primes p = 1 mod {q} below 2 sqrt(2^53 / {q})")
+
+
+def _power_matrix(powers: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The matrix of w^(u_i v_j) mod p, from the powers w^k mod p for k = 0..q-1."""
+    exponents = np.multiply.outer(u, v)
+    exponents %= len(powers)
+    return powers[exponents]
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Subtract from x, in place, the multiples of p nearest it; returns x.
+
+    x holds integers of magnitude below 2^53 - p.  fl(x fl(1/p)) lies within
+    2/p of x/p, so each result lies within p/2 + 2 of 0.
+    """
+    nearest = x * (1 / p)
+    np.rint(nearest, out=nearest)
+    nearest *= p
+    x -= nearest
+    return x
+
+
+def _block_spectrum(ctx: FieldCtx, n: int, terms, powers: np.ndarray, p: int) -> np.ndarray:
+    """The 2-D DFT mod p of the table of a block on x1..xn, in residues within p/2 + 2 of 0.
+
+    X[xi, s] = sum_y w^(xi f(y) + s ||y||).  For one variable that is the
+    product of the matrices w^(xi f(y)) and w^(y^2 s), and the table is
+    never formed; a wider block's table T is enumerated and transformed
+    as W T W, with W[j, k] = w^(jk).
+    """
+    q = ctx.q
+    m = np.arange(q, dtype=np.int64)
+    if n == 1:
+        f = np.broadcast_to(_sum_terms(terms, [m], q), (q,))
+        by_norm = _power_matrix(powers, m * m % q, m)
+        spectrum = _power_matrix(powers, m, f) @ by_norm
+        del by_norm
+    else:
+        table = _block_table(ctx, frozenset(range(n)), terms).astype(np.float64)
+        _reduce(table, p)
+        dft = _power_matrix(powers, m, m)
+        spectrum = dft @ table
+        del table
+        _reduce(spectrum, p)
+        spectrum = spectrum @ dft
+    return _reduce(spectrum, p)
+
+
+def _crt(residues, moduli, bound: np.ndarray) -> np.ndarray:
+    """The x with x = residues[i] mod moduli[i] and 0 <= x <= bound, by Garner's CRT in int64.
+
+    x is built one mixed-radix digit at a time (Knuth, TAOCP vol. 2,
+    Sec. 4.3.2).  A partial sum past the bound puts x past it, so that
+    raises RoundingMismatch before any product can leave int64.
+    """
+    x, m = np.zeros_like(residues[0]), 1
+    for r, p in zip(residues, moduli):
+        digit = (r - x) % p * pow(m, -1, p) % p
+        if (digit > (bound - x) // m).any():
+            raise RoundingMismatch(f"residues mod {list(moduli)} past their bound")
+        x += m * digit
+        m *= p
+    return x
+
+
+def _route_bytes(q: int, widest: int) -> int:
+    """Peak bytes of the arrays ``_radius_counts`` holds at once.
+
+    Four q x q float64 arrays, 32 q^2 bytes: the product of the spectra,
+    and for a one-variable block its two power matrices and their product,
+    or for a wider block W, its table and their products, or the
+    temporary of a ``_reduce``.  The enumeration of a block of k >= 2
+    variables holds about four q^k int64 arrays (values, norms, pairs and
+    their bincount), 32 q^k bytes more.
+    """
+    return 32 * q * q + (32 * q**widest if widest > 1 else 0)
 
 
 def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
@@ -676,77 +581,68 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
 
     The joint histogram H[a, t] = #{x : P(x) - c = a, ||x|| = t} is the
     cyclic convolution on Z_q x Z_q of the block tables, and V is its row
-    a = -c.  Its entries sum to q^d < 2^63.  ``_counts_route`` picks the
-    route from q, d and the installed numpy's FFT planner alone:
+    a = -c.  Each entry is at most its column sum |S_t|, so H is computed
+    modulo the word-size primes of ``_moduli``, whose product exceeds
+    max |S_t|, and the residues are joined by Garner's CRT (``_crt``).
 
-    - a transform route: the product of the tables' half spectra, by
-      products with the DFT matrix ("matrix", O(q^3) per transform, but
-      the fastest up to q = _MATRIX_DFT_MAX_Q) or by ``np.fft.rfft2``
-      ("real"), inverted likewise, or the product of their ``fft2``
-      spectra, inverted by ``ifft2`` ("complex"), rounded to int64.  Its
-      ``_transform_error_bound`` is below 1/2, so every entry is within
-      1/2 of its integer and rounding returns it exactly.  Blocks that are one polynomial once renamed
-      (``_distinct_blocks``), such as the paraboloid's d - 1 squares, share
-      one table and one transform, by which the spectrum is multiplied
-      once per block.
-    - otherwise the exact int64 ``cyclic_convolve`` of the tables, each
-      block enumerated on its own, O(q^3) per block.
+    Modulo each p = 1 (mod q), with w of order q, H is the inverse 2-D DFT
+    over F_p (Pollard, Math. Comp. 25, 1971) of the product of the blocks'
+    spectra (``_block_spectrum``).  Blocks that are one polynomial once
+    renamed (``_distinct_blocks``), such as the paraboloid's d - 1 squares,
+    share one spectrum, by which the product is multiplied once per block.
+    Only two rows of the inverse are formed, each an O(q^2) product: the
+    row a = -c, and the column sums, which are 1/q times the inverse 1-D
+    DFT of the spectrum's row 0 because sum_a w^(-a xi) = 0 for xi != 0.
+    All arithmetic is on integers below 2^53 in float64, so it is exact.
 
-    Before any route allocates, its peak bytes (``_route_bytes``) are checked
-    against 8 GRID_BUDGET, the bytes of the int64 grid the budget admits;
-    more raises TooLarge.  On every route the column sums of H must equal
-    ``sphere_sizes``, an exact invariant checked in integers; a mismatch
-    raises RoundingMismatch.
+    Before anything is allocated, a block over GRID_BUDGET points raises
+    TooLarge, and so do peak bytes (``_route_bytes``) over 8 GRID_BUDGET,
+    the bytes of the int64 grid the budget admits.  The counts must lie in
+    0..|S_t| and the column sums must equal ``sphere_sizes``, both checked
+    in integers; else RoundingMismatch.
     """
-    q = ctx.q
-    blocks, constants = _blocks(expr, ctx.d)
-    route = _counts_route(q, ctx.d)
-    need = _route_bytes(q, len(blocks), route)
+    q, d = ctx.q, ctx.d
+    blocks, constants = _blocks(expr, d)
+    widest = max(len(axes) for axes, _ in blocks)
+    ctx.check_budget(widest)
+    need = _route_bytes(q, widest)
     if need > 8 * GRID_BUDGET:
         raise TooLarge(
-            f"counting {pretty_print(expr)} at q={q}, d={ctx.d} needs about {need} bytes, "
+            f"counting {pretty_print(expr)} at q={q}, d={d} needs about {need} bytes, "
             f"over the budget of {8 * GRID_BUDGET}"
         )
-    if route != "int64":
-        if route == "matrix":
-            dft = _dft_matrix(q)
-        forward = {
-            "matrix": lambda table: _matrix_rfft2(table, dft),
-            "real": np.fft.rfft2,
-            "complex": np.fft.fft2,
-        }[route]
+    sizes = sphere_sizes(ctx)
+    moduli = _moduli(q, int(sizes.max()))
+    c = sum(sign * eval_poly(term, (), q) for sign, term in constants)
+    m = np.arange(q, dtype=np.int64)
+    residues = []
+    for p, w in moduli:
+        # w^k mod p for k = 0..q-1, within p/2 of 0
+        powers = np.array([pow(w, k, p) for k in range(q)], dtype=np.float64)
+        powers[2 * powers > p] -= p
         spectrum = None
         for (n, terms), count in _distinct_blocks(blocks).items():
-            factor = forward(_block_table(ctx, frozenset(range(n)), terms))
+            factor = _block_spectrum(ctx, n, terms, powers, p)
             if spectrum is None:
                 # the first factor, copied when it multiplies the spectrum again
                 spectrum = factor.copy() if count > 1 else factor
                 count -= 1
             for _ in range(count):
                 spectrum *= factor
+                _reduce(spectrum, p)
             del factor
-        if route == "matrix":
-            joint = _matrix_irfft2(spectrum, dft)
-        elif route == "real":
-            joint = np.fft.irfft2(spectrum, s=(q, q))
-        else:
-            joint = np.fft.ifft2(spectrum).real
+        # sum_xi w^(c xi) X[xi, s] for the row a = -c, and X[0, s] for the column sums
+        rows = np.stack([powers[c * m % q] @ spectrum, spectrum[0]])
         del spectrum
-        joint = np.rint(joint, out=joint).astype(np.int64)
-    else:
-        tables = (_block_table(ctx, axes, terms) for axes, terms in blocks)
-        # densest first: the accumulator only grows denser, so it stays cyclic_convolve's shifted a
-        tables = sorted(tables, key=np.count_nonzero)
-        joint = tables.pop()
-        for table in tables:
-            joint = cyclic_convolve(joint, table)
-    if not np.array_equal(joint.sum(axis=0), sphere_sizes(ctx)):
+        rows = _reduce(_reduce(rows, p) @ _power_matrix(powers, m, -m % q), p)
+        residues.append(rows.astype(np.int64) % p * [[pow(q, -2, p)], [pow(q, -1, p)]] % p)
+    counts, sums = _crt(residues, [p for p, _ in moduli], sizes)
+    if not np.array_equal(sums, sizes):
         raise RoundingMismatch(
-            f"joint histogram of {pretty_print(expr)} at q={q}, d={ctx.d} "
+            f"joint histogram of {pretty_print(expr)} at q={q}, d={d} "
             "does not sum to the sphere sizes"
         )
-    c = sum(sign * eval_poly(term, (), q) for sign, term in constants)
-    return joint[-c % q].copy()
+    return counts
 
 
 def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:

@@ -485,11 +485,11 @@ def test_block_over_budget_exits_2(capsys):
 
 
 def test_refused_over_the_byte_budget_exits_2(capsys):
-    # the FFT's error bound admits (20011, 3), but its arrays would take
-    # about 13 GB; no block is enumerated and nothing transformed
+    # (20011, 3) has moduli, but its arrays would take about 13 GB; no
+    # block is enumerated and nothing transformed
     argv = ["variety", "info", "--q", "20011", "--d", "3", "--variety", "paraboloid"]
     with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
-        with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
+        with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=AssertionError):
             assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

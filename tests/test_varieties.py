@@ -25,10 +25,8 @@ from ffharm import (
     zero_sphere_intersection,
 )
 import ffharm.varieties
-from ffharm.field import GRID_BUDGET
-from ffharm.field import is_odd_prime
+from ffharm.field import GRID_BUDGET, cyclic_convolve, is_odd_prime
 from ffharm.varieties import (
-    _MATRIX_DFT_MAX_Q,
     Add,
     Lit,
     Mul,
@@ -36,16 +34,12 @@ from ffharm.varieties import (
     Pow,
     Sub,
     Var,
+    _block_spectrum,
+    _block_table,
     _blocks,
-    _counts_route,
-    _dft_matrix,
-    _direct_pass,
-    _matrix_irfft2,
-    _matrix_rfft2,
+    _moduli,
     _radius_counts,
     _route_bytes,
-    _transform_error_bound,
-    _WEIGHT_ERROR,
 )
 
 
@@ -190,10 +184,16 @@ def test_radius_counts_match_enumeration(case):
     assert v.contains_zero == (v.flat.size > 0 and v.flat[0] == 0)
 
 
-def _int64_route_counts(ctx, expr):
-    """_radius_counts by the exact int64 convolution, whatever q and d."""
-    with mock.patch.object(ffharm.varieties, "_transform_error_bound", return_value=math.inf):
-        return _radius_counts(ctx, expr)
+def _int64_counts(ctx, expr):
+    """|V cap S_t| by the exact int64 convolution of the block tables: the oracle of _radius_counts."""
+    blocks, constants = _blocks(expr, ctx.d)
+    tables = sorted((_block_table(ctx, axes, terms) for axes, terms in blocks), key=np.count_nonzero)
+    # densest first: the accumulator only grows denser, so it stays cyclic_convolve's shifted a
+    joint = tables.pop()
+    for table in tables:
+        joint = cyclic_convolve(joint, table)
+    c = sum(sign * eval_poly(term, (), ctx.q) for sign, term in constants)
+    return joint[-c % ctx.q]
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,12 +209,12 @@ def _int64_route_counts(ctx, expr):
 def test_transform_route_matches_int64_route(case):
     q, d, expr = case
     ctx = FieldCtx(q, d)
-    assert _transform_error_bound(q, d) < 0.5
-    assert np.array_equal(_radius_counts(ctx, expr), _int64_route_counts(ctx, expr))
+    assert np.array_equal(_radius_counts(ctx, expr), _int64_counts(ctx, expr))
 
 
 # x1*x2*x3-1 is one block of q^3 points, so it stops at q = 211 (9.4e6
-# points); at 401 the enumeration alone would hold several 0.5 GB arrays
+# points); at 401 the enumeration alone would hold several 0.5 GB arrays.
+# From q = 233 the d = 4 counts need two moduli.
 _ROUTE_CASES = [
     (q, d, src)
     for q in (101, 211, 401)
@@ -232,115 +232,92 @@ _ROUTE_CASES = [
 def test_transform_route_matches_int64_route_at_scale(q, d, src):
     ctx = FieldCtx(q, d)
     expr = parse_poly(src, d)
-    assert _transform_error_bound(q, d) < 0.5
-    assert np.array_equal(_radius_counts(ctx, expr), _int64_route_counts(ctx, expr))
+    assert np.array_equal(_radius_counts(ctx, expr), _int64_counts(ctx, expr))
 
 
-@pytest.mark.parametrize("q,d", [(1009, 3), (1009, 4), (2003, 3), (4001, 3)])
-def test_transform_route_reaches_large_q(q, d):
-    assert _transform_error_bound(q, d) < 0.5
+@pytest.mark.parametrize("q,d", [(31, 10), (211, 6), (1009, 5), (1493, 4)])
+def test_paraboloid_counts_match_closed_form(q, d):
+    # on the paraboloid ||x|| = x_d^2 + x_d, and x_1..x_{d-1} lie on the
+    # (d-1)-dimensional sphere of radius x_d; each case takes two moduli
+    v = build_variety(FieldCtx(q, d), "paraboloid")
+    y = np.arange(q)
+    want = np.zeros(q, dtype=np.int64)
+    np.add.at(want, (y * y + y) % q, sphere_sizes(FieldCtx(q, d - 1)))
+    assert np.array_equal(v.radius_counts, want)
 
 
-@pytest.mark.parametrize("d,first", [(4, 1483), (5, 293), (10, 17)])
-def test_int64_route_from_the_stated_q(d, first):
-    # the smallest prime at which neither transform route's bound is below
-    # 1/2, as the README states; below it every prime takes a transform
-    primes = [q for q in range(3, first + 1) if is_odd_prime(q)]
-    assert [q for q in primes if _counts_route(q, d) == "int64"] == [first]
+def _assert_moduli(q, bound):
+    moduli = _moduli(q, bound)
+    for p, w in moduli:
+        assert is_odd_prime(p) and p % q == 1
+        assert w != 1 and pow(w, q, p) == 1  # order q, as q is prime
+        # a dot product of q residues within p/2 + 2 of 0, and the multiple
+        # of p subtracted from it, are integers below 2^53: q (p/2 + 2)^2 + p < 2^53
+        assert q * (p + 4) ** 2 + 4 * p < 2**55
+    product = math.prod(p for p, _ in moduli)
+    assert product > bound >= product // moduli[-1][0]
+
+
+def test_moduli_at_every_q():
+    # every prime the byte budget admits at d = 3, where max |S_t| = q^2 + q
+    last = max(q for q in range(3, 10**4) if is_odd_prime(q) and _route_bytes(q, 1) <= 8 * GRID_BUDGET)
+    assert last == 4999
+    for q in range(3, last + 1):
+        if is_odd_prime(q):
+            _assert_moduli(q, q * q + q)
 
 
 @pytest.mark.parametrize(
-    "q,name", [(193, "paraboloid"), (283, "paraboloid"), (193, "poly:x1^2+x2^2+x3^2-x4*x5")]
+    "q,d",
+    [(1009, 3), (1009, 4), (2003, 3), (4001, 3), (3, 39), (31, 12), (211, 8), (1009, 6), (20011, 4)],
 )
-def test_complex_route_where_the_real_bound_fails(q, name):
-    # at d = 5 pocketfft's real transform of these lengths is direct or
-    # pays sqrt(2) for Bluestein's, and only fft2's bound is below 1/2
-    ctx = FieldCtx(q, 5)
-    assert _transform_error_bound(q, 5) >= 0.5 > _transform_error_bound(q, 5, "complex")
-    assert _transform_error_bound(q, 5, "matrix") >= 0.5 or q > _MATRIX_DFT_MAX_Q
-    assert _counts_route(q, 5) == "complex"
-    want = _int64_route_counts(ctx, build_variety(ctx, name).expr)
-    with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
-        with mock.patch.object(np.fft, "fft2", side_effect=np.fft.fft2) as fft2:
-            v = build_variety(ctx, name)
-    assert fft2.call_count == 2
-    assert np.array_equal(v.radius_counts, want)
-
-
-def test_transform_route_error_far_below_its_bound():
-    # only the transform route may run at (1009, 4); its unrounded output
-    # lies within 1/100 of the bound of the nearest integers
-    real_irfft2, unrounded = np.fft.irfft2, []
-
-    def keep(*args, **kwargs):
-        out = real_irfft2(*args, **kwargs)
-        unrounded.append(out.copy())  # the caller rounds out in place
-        return out
-
-    with mock.patch.object(ffharm.varieties, "cyclic_convolve", side_effect=AssertionError):
-        with mock.patch.object(np.fft, "irfft2", side_effect=keep):
-            v = build_variety(FieldCtx(1009, 4), "paraboloid")
-    assert v.cardinality == 1009**3
-    (H,) = unrounded
-    assert H.shape == (1009, 1009)
-    assert np.abs(H - np.rint(H)).max() <= _transform_error_bound(1009, 4) / 100
-
-
-def test_int64_route_past_the_bound():
-    # 31^10 = 8.2e14 points: the bound rules the transform out
-    ctx = FieldCtx(31, 10)
-    assert _transform_error_bound(31, 10) >= 0.5
-    with mock.patch.object(np.fft, "fft2", side_effect=AssertionError):
-        with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
-            with mock.patch.object(ffharm.varieties, "_dft_matrix", side_effect=AssertionError):
-                v = build_variety(ctx, "paraboloid")
-    # on the paraboloid ||x|| = x_d^2 + x_d, and x_1..x_{d-1} lie on the
-    # 9-dimensional sphere of radius x_d
-    y = np.arange(31)
-    want = np.zeros(31, dtype=np.int64)
-    np.add.at(want, (y * y + y) % 31, sphere_sizes(FieldCtx(31, 9)))
-    assert np.array_equal(v.radius_counts, want)
+def test_transform_route_reaches_large_q(q, d):
+    # q^d < 2^63 on each, so every count fits int64
+    ctx = FieldCtx(q, d)
+    ctx.check_int64_counts()
+    _assert_moduli(q, int(sphere_sizes(ctx).max()))
 
 
 def test_broken_marginal_raises():
-    # on the real route; test_broken_matrix_marginal_raises covers the
-    # matrix route, which runs by default at q = 101
-    real_irfft2 = np.fft.irfft2
-
-    def off_by_one(*args, **kwargs):
-        out = real_irfft2(*args, **kwargs)
-        out[0, 0] += 1
-        return out
-
-    with mock.patch.object(ffharm.varieties, "_counts_route", return_value="real"):
-        with mock.patch.object(np.fft, "irfft2", side_effect=off_by_one):
-            with pytest.raises(RoundingMismatch):
-                build_variety(FieldCtx(101, 3), "paraboloid")
-
-
-def test_broken_matrix_marginal_raises():
-    real_inverse = ffharm.varieties._matrix_irfft2
+    # an off-by-one in a column sum of the joint histogram
+    real_crt = ffharm.varieties._crt
 
     def off_by_one(*args):
-        out = real_inverse(*args)
-        out[0, 0] += 1
+        out = real_crt(*args)
+        out[1, 0] += 1
         return out
 
-    assert _counts_route(101, 3) == "matrix"
-    with mock.patch.object(ffharm.varieties, "_matrix_irfft2", side_effect=off_by_one):
-        with pytest.raises(RoundingMismatch):
+    with mock.patch.object(ffharm.varieties, "_crt", side_effect=off_by_one):
+        with pytest.raises(RoundingMismatch, match="does not sum to the sphere sizes"):
             build_variety(FieldCtx(101, 3), "paraboloid")
 
 
-# the forward transform of each route, as (module, name)
-_FORWARD = {
-    "matrix": (ffharm.varieties, "_matrix_rfft2"),
-    "real": (np.fft, "rfft2"),
-    "complex": (np.fft, "fft2"),
-}
+@pytest.mark.parametrize("q,d", [(101, 3), (401, 4)])
+def test_broken_spectrum_raises(q, d):
+    # one entry off at xi = 1 leaves the column sums, which read the row
+    # xi = 0 alone, as they are; the counts leave 0..|S_t|, under one
+    # modulus at (101, 3) and two at (401, 4)
+    real_spectrum = ffharm.varieties._block_spectrum
+
+    def off_by_one(*args):
+        out = real_spectrum(*args)
+        out[1, 0] += 1
+        return out
+
+    with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=off_by_one):
+        with pytest.raises(RoundingMismatch, match="past their bound"):
+            build_variety(FieldCtx(q, d), "paraboloid")
 
 
-@pytest.mark.parametrize("route", ["matrix", "real", "complex"])
+def test_too_few_moduli_raises():
+    # the counts at (1009, 4) need two moduli; one leaves them wrapped
+    real_moduli = ffharm.varieties._moduli
+    assert len(real_moduli(1009, int(sphere_sizes(FieldCtx(1009, 4)).max()))) == 2
+    with mock.patch.object(ffharm.varieties, "_moduli", side_effect=lambda *args: real_moduli(*args)[:-1]):
+        with pytest.raises(RoundingMismatch):
+            build_variety(FieldCtx(1009, 4), "paraboloid")
+
+
 @pytest.mark.parametrize(
     "d,name,transforms",
     [
@@ -353,129 +330,62 @@ _FORWARD = {
         (4, "poly:x1*x2+x3^2*x4", 2),
     ],
 )
-def test_one_transform_per_distinct_block(d, name, transforms, route):
-    ctx = FieldCtx(101, d)
-    want = _int64_route_counts(ctx, build_variety(ctx, name).expr)
-    module, attr = _FORWARD[route]
-    with mock.patch.object(ffharm.varieties, "_counts_route", return_value=route):
-        with mock.patch.object(module, attr, side_effect=getattr(module, attr)) as forward:
+def test_one_transform_per_distinct_block(d, name, transforms):
+    # at q = 401 the d = 4 counts need two moduli, each with its own transforms
+    for q in (101, 401):
+        ctx = FieldCtx(q, d)
+        moduli = _moduli(q, int(sphere_sizes(ctx).max()))
+        with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=_block_spectrum) as forward:
             v = build_variety(ctx, name)
-    assert forward.call_count == transforms
-    assert np.array_equal(v.radius_counts, want)
-
-
-@pytest.mark.parametrize("q", [3, 61, 211])
-def test_matrix_transforms_match_pocketfft(q):
-    table = np.random.default_rng(q).integers(0, 9, (q, q))
-    dft = _dft_matrix(q)
-    half = np.fft.rfft2(table)
-    assert np.allclose(_matrix_rfft2(table, dft), half, rtol=0, atol=1e-9)
-    assert np.allclose(_matrix_irfft2(half, dft), table, rtol=0, atol=1e-9)
-
-
-@pytest.mark.parametrize("d,last", [(4, 211), (5, 139), (6, 67), (10, 13)])
-def test_matrix_route_up_to_the_stated_q(d, last):
-    # the matrix route's bound does not depend on numpy's FFT planner, so
-    # the primes it takes are fixed by q and d: all of them up to last
-    primes = [q for q in range(3, _MATRIX_DFT_MAX_Q + 50) if is_odd_prime(q)]
-    assert [q for q in primes if _counts_route(q, d) == "matrix"] == [q for q in primes if q <= last]
-
-
-def test_dft_matrix_within_its_weight_error():
-    # against angles and roots in long double, which has a 64-bit
-    # significand on x86-64; where it is double, this compares less
-    pi = np.longdouble("3.14159265358979323846264338327950288")
-    for q in (3, 61, _MATRIX_DFT_MAX_Q):
-        m = np.arange(q)
-        theta = -2 * pi * (np.outer(m, m) % q).astype(np.longdouble) / q
-        err = np.hypot(
-            (np.cos(theta) - _dft_matrix(q).real).astype(float),
-            (np.sin(theta) - _dft_matrix(q).imag).astype(float),
-        )
-        assert err.max() <= _WEIGHT_ERROR
-
-
-def test_matrix_route_error_far_below_its_bound():
-    # the largest q and d the matrix route takes the paraboloid to; its
-    # unrounded output lies within 1/100 of the bound of the integers
-    real_inverse, unrounded = ffharm.varieties._matrix_irfft2, []
-
-    def keep(*args):
-        out = real_inverse(*args)
-        unrounded.append(out.copy())  # the caller rounds out in place
-        return out
-
-    assert _counts_route(_MATRIX_DFT_MAX_Q, 4) == "matrix"
-    with mock.patch.object(ffharm.varieties, "_matrix_irfft2", side_effect=keep):
-        build_variety(FieldCtx(_MATRIX_DFT_MAX_Q, 4), "paraboloid")
-    (H,) = unrounded
-    assert np.abs(H - np.rint(H)).max() <= _transform_error_bound(_MATRIX_DFT_MAX_Q, 4, "matrix") / 100
-
-
-def test_direct_pass_probe():
-    # _direct_pass asks numpy whether a length runs by the direct O(q^2)
-    # pass, from one symmetric input; a random symmetric input must get
-    # the same answer at every prime the byte budget admits at d = 3
-    rng = np.random.default_rng(0)
-
-    def direct(q, transform):
-        x = rng.standard_normal(q)
-        x[1:] += x[1:][::-1].copy()
-        return not transform(x).imag.any()
-
-    largest = max(q for q in range(3, 10**4) if _route_bytes(q, 2, "real") <= 8 * GRID_BUDGET)
-    for q in range(3, largest + 1):
-        if is_odd_prime(q):
-            assert _direct_pass(q, False) == direct(q, np.fft.fft), q
-            assert _direct_pass(q, True) == direct(q, np.fft.rfft), q
-    assert _direct_pass(3, False) and _direct_pass(3, True)
-    assert not _direct_pass(largest, False) and not _direct_pass(largest, True)
-
-
-def test_direct_pass_is_charged():
-    # the bound charges the direct pass's sqrt(q) growth wherever the probe
-    # reports it, so a direct pass at q = 1009 would leave no transform route
-    assert _counts_route(1009, 4) == "real"
-    with mock.patch.object(ffharm.varieties, "_direct_pass", return_value=True):
-        assert _counts_route(1009, 4) == "int64"
+        assert forward.call_count == transforms * len(moduli)
+        if q == 101:
+            assert np.array_equal(v.radius_counts, _int64_counts(ctx, v.expr))
+    assert len(moduli) == (2 if d == 4 else 1)
 
 
 def test_byte_budget_refuses_before_any_transform():
-    # the bound admits the transform route at (20011, 3), but its arrays
-    # would take about 13 GB; no block is enumerated and nothing transformed
-    assert _transform_error_bound(20011, 3) < 0.5
+    # (20011, 3) has moduli, but its arrays would take about 13 GB; no
+    # block is enumerated and nothing transformed
     with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
-        with mock.patch.object(np.fft, "rfft2", side_effect=AssertionError):
+        with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=AssertionError):
             with pytest.raises(TooLarge, match=f"over the budget of {8 * GRID_BUDGET}"):
                 build_variety(FieldCtx(20011, 3), "paraboloid")
 
 
+def test_byte_budget_counts_the_block_enumeration():
+    # x1*x2*x3-1 is one block of q^3 points: at q = 463 they fit the point
+    # budget, but their int64 arrays would take about 3.2 GB; q = 211
+    # builds (test_transform_route_matches_int64_route_at_scale)
+    assert 463**3 <= GRID_BUDGET
+    assert _route_bytes(211, 3) <= 8 * GRID_BUDGET < _route_bytes(463, 3)
+    with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
+        with pytest.raises(TooLarge, match=f"over the budget of {8 * GRID_BUDGET}"):
+            build_variety(FieldCtx(463, 3), "poly:x1*x2*x3-1")
+
+
 @pytest.mark.parametrize("q,d", [(2003, 3), (1009, 4), (31, 10)])
 def test_byte_budget_admits(q, d):
-    assert _route_bytes(q, d, _counts_route(q, d)) <= 8 * GRID_BUDGET
+    assert _route_bytes(q, 1) <= 8 * GRID_BUDGET
     assert build_variety(FieldCtx(q, d), "paraboloid").cardinality == q ** (d - 1)
 
 
-@pytest.mark.parametrize("src", ["x1^2+x2^2-x3", "x1^2+x2^2+x3^2-x4", "x1^3+x2^3-1"])
-@pytest.mark.parametrize("route", ["matrix", "real", "complex", "int64"])
-def test_route_bytes_bound_the_traced_peak(src, route):
-    # one-variable blocks, so the enumeration holds O(q) points; numpy
-    # reports its arrays to tracemalloc.  The slack, under one q x q table,
-    # covers O(q) arrays and a ufunc's fixed casting buffer; the estimate is
-    # at most twice the peak.
+@pytest.mark.parametrize("src", ["x1^2+x2^2-x3", "x1^2+x2^2+x3^2-x4", "x1^3+x2^3-1", "x1^2+x2^2-x3*x4"])
+def test_route_bytes_bound_the_traced_peak(src):
+    # numpy reports its arrays to tracemalloc.  The slack, under one q x q
+    # table, covers O(q) arrays and a ufunc's fixed casting buffer; the
+    # estimate is at most twice the peak.
     import tracemalloc
 
     q = 211
     d = src.count("x")
     ctx, expr = FieldCtx(q, d), parse_poly(src, d)
-    need = _route_bytes(q, len(_blocks(expr, d)[0]), route)
-    with mock.patch.object(ffharm.varieties, "_counts_route", return_value=route):
-        tracemalloc.start()
-        try:
-            _radius_counts(ctx, expr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    need = _route_bytes(q, max(len(axes) for axes, _ in _blocks(expr, d)[0]))
+    tracemalloc.start()
+    try:
+        _radius_counts(ctx, expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert need / 2 <= peak <= need + 2**18
 
 
