@@ -318,6 +318,13 @@ def test_too_few_moduli_raises():
             build_variety(FieldCtx(1009, 4), "paraboloid")
 
 
+# q at which the d = 4 counts took each of the routes that the exact DFT
+# replaced: a float DFT matrix, rfft2, fft2 and the int64 convolution.  At
+# 211 the d = 4 counts need one modulus, from 233 two.
+_EARLIER_ROUTE_Q = {"matrix": 211, "real": 401, "complex": 1423, "int64": 1483}
+
+
+@pytest.mark.parametrize("route", ["matrix", "real", "complex"])
 @pytest.mark.parametrize(
     "d,name,transforms",
     [
@@ -330,17 +337,17 @@ def test_too_few_moduli_raises():
         (4, "poly:x1*x2+x3^2*x4", 2),
     ],
 )
-def test_one_transform_per_distinct_block(d, name, transforms):
-    # at q = 401 the d = 4 counts need two moduli, each with its own transforms
-    for q in (101, 401):
-        ctx = FieldCtx(q, d)
-        moduli = _moduli(q, int(sphere_sizes(ctx).max()))
-        with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=_block_spectrum) as forward:
-            v = build_variety(ctx, name)
-        assert forward.call_count == transforms * len(moduli)
-        if q == 101:
-            assert np.array_equal(v.radius_counts, _int64_counts(ctx, v.expr))
-    assert len(moduli) == (2 if d == 4 else 1)
+def test_one_transform_per_distinct_block(d, name, transforms, route):
+    # each modulus has its own transforms; the oracle is too slow past q = 211
+    q = _EARLIER_ROUTE_Q[route]
+    ctx = FieldCtx(q, d)
+    moduli = _moduli(q, int(sphere_sizes(ctx).max()))
+    assert len(moduli) == (2 if d == 4 and q > 211 else 1)
+    with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=_block_spectrum) as forward:
+        v = build_variety(ctx, name)
+    assert forward.call_count == transforms * len(moduli)
+    if q == 211:
+        assert np.array_equal(v.radius_counts, _int64_counts(ctx, v.expr))
 
 
 def test_byte_budget_refuses_before_any_transform():
@@ -370,13 +377,14 @@ def test_byte_budget_admits(q, d):
 
 
 @pytest.mark.parametrize("src", ["x1^2+x2^2-x3", "x1^2+x2^2+x3^2-x4", "x1^3+x2^3-1", "x1^2+x2^2-x3*x4"])
-def test_route_bytes_bound_the_traced_peak(src):
+@pytest.mark.parametrize("route", ["matrix", "real", "complex", "int64"])
+def test_route_bytes_bound_the_traced_peak(src, route):
     # numpy reports its arrays to tracemalloc.  The slack, under one q x q
     # table, covers O(q) arrays and a ufunc's fixed casting buffer; the
     # estimate is at most twice the peak.
     import tracemalloc
 
-    q = 211
+    q = _EARLIER_ROUTE_Q[route]
     d = src.count("x")
     ctx, expr = FieldCtx(q, d), parse_poly(src, d)
     need = _route_bytes(q, max(len(axes) for axes, _ in _blocks(expr, d)[0]))
