@@ -476,100 +476,165 @@ def _run_ft_selftest(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ffharm",
-        description="Exponential sums, sphere transforms, and restriction scans over F_q^d.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_sum(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind", choices=("gauss", "kloosterman", "salie"))
+    p.add_argument("--q", type=_odd_prime, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, default=None)
+    p.set_defaults(func=_run_sum)
 
-    p_sum = sub.add_parser("sum", help="compute one exponential sum and check its bound")
-    p_sum.add_argument("kind", choices=("gauss", "kloosterman", "salie"))
-    p_sum.add_argument("--q", type=_odd_prime, required=True)
-    p_sum.add_argument("--a", type=int, required=True)
-    p_sum.add_argument("--b", type=int, default=None)
-    p_sum.set_defaults(func=_run_sum)
 
-    p_sphere = sub.add_parser("sphere", help="sphere cardinalities and transforms")
-    sphere_sub = p_sphere.add_subparsers(dest="subcommand", required=True)
+def _add_sphere_count(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=_odd_prime, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.set_defaults(func=_run_sphere_count)
 
-    p_count = sphere_sub.add_parser("count")
-    p_count.add_argument("--q", type=_odd_prime, required=True)
-    p_count.add_argument("--d", type=_dimension, required=True)
-    p_count.add_argument("--j", type=int, required=True)
-    p_count.set_defaults(func=_run_sphere_count)
 
-    p_ft = sphere_sub.add_parser("ft")
-    p_ft.add_argument("--q", type=_odd_prime, required=True)
-    p_ft.add_argument("--d", type=_dimension, required=True)
-    p_ft.add_argument("--j", type=int, required=True)
-    p_ft.add_argument("--x", type=_vector, required=True, help="comma-separated coordinates")
-    p_ft.set_defaults(func=_run_sphere_ft)
+def _add_sphere_ft(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=_odd_prime, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--x", type=_vector, required=True, help="comma-separated coordinates")
+    p.set_defaults(func=_run_sphere_ft)
 
-    p_vl = sphere_sub.add_parser("verify-lemma1")
-    p_vl.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
-    p_vl.add_argument("--d", type=_dimension_list, required=True, help="comma-separated dimensions")
-    p_vl.add_argument("--tol", type=_positive_finite, default=1e-6)
-    p_vl.set_defaults(func=_run_verify_lemma1)
 
-    p_var = sub.add_parser("variety", help="build varieties and check the S_0 intersection")
-    var_sub = p_var.add_subparsers(dest="subcommand", required=True)
-    for name, func in (("info", _run_variety_info), ("intersect", _run_variety_intersect)):
-        pv = var_sub.add_parser(name)
-        pv.add_argument("--q", type=_odd_prime, required=True)
-        pv.add_argument("--d", type=_dimension, required=True)
-        pv.add_argument(
+def _add_verify_lemma1(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
+    p.add_argument("--d", type=_dimension_list, required=True, help="comma-separated dimensions")
+    p.add_argument("--tol", type=_positive_finite, default=1e-6)
+    p.set_defaults(func=_run_verify_lemma1)
+
+
+def _add_variety(func):
+    """The adder of variety info or intersect, which differ only in func."""
+
+    def add(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--q", type=_odd_prime, required=True)
+        p.add_argument("--d", type=_dimension, required=True)
+        p.add_argument(
             "--variety",
             required=True,
             help="paraboloid | plane | sphere:<t> | poly:<source>",
         )
-        pv.set_defaults(func=func)
+        p.set_defaults(func=func)
 
-    p_res = sub.add_parser("restrict", help="restriction norms, scans, region tests")
-    res_sub = p_res.add_subparsers(dest="subcommand", required=True)
+    return add
 
-    # options shared by norm and scan; --q differs (one prime vs a list)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--d", type=_dimension, required=True)
-    common.add_argument("--variety", required=True)
-    common.add_argument("--p", type=_exponent, required=True, help="fraction a/b or inf")
-    common.add_argument("--r", type=_exponent, required=True, help="fraction a/b or inf")
-    common.add_argument("--method", choices=("search", "exact22", "witness"), default="search")
-    common.add_argument("--starts", type=int, default=None)
-    common.add_argument("--seed", type=_seed, default=0)
-    common.add_argument(
-        "--sign-mode", dest="sign_mode", choices=("signed", "nonneg"), default="signed"
+
+def _add_restrict_options(p: argparse.ArgumentParser) -> None:
+    """The options of restrict norm and scan, except --q (one prime vs a list)."""
+    p.add_argument("--d", type=_dimension, required=True)
+    p.add_argument("--variety", required=True)
+    p.add_argument("--p", type=_exponent, required=True, help="fraction a/b or inf")
+    p.add_argument("--r", type=_exponent, required=True, help="fraction a/b or inf")
+    p.add_argument("--method", choices=("search", "exact22", "witness"), default="search")
+    p.add_argument("--starts", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--sign-mode", dest="sign_mode", choices=("signed", "nonneg"), default="signed")
+
+
+def _add_restrict_norm(p: argparse.ArgumentParser) -> None:
+    _add_restrict_options(p)
+    p.add_argument("--q", type=_odd_prime, required=True)
+    p.set_defaults(func=_run_restrict_norm)
+
+
+def _add_restrict_scan(p: argparse.ArgumentParser) -> None:
+    _add_restrict_options(p)
+    p.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_run_restrict_scan)
+
+
+def _add_restrict_region(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=_dimension, required=True)
+    p.add_argument("--p", type=_exponent, required=True)
+    p.add_argument("--r", type=_exponent, required=True)
+    p.set_defaults(func=_run_restrict_region)
+
+
+def _add_ft_selftest(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=_odd_prime, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
+    p.add_argument("--trials", type=_int_at_least("trials", 1), default=20)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.set_defaults(func=_run_ft_selftest)
+
+
+# command: (help, the adder of its parser, or {subcommand: adder})
+_COMMANDS = {
+    "sum": ("compute one exponential sum and check its bound", _add_sum),
+    "sphere": (
+        "sphere cardinalities and transforms",
+        {"count": _add_sphere_count, "ft": _add_sphere_ft, "verify-lemma1": _add_verify_lemma1},
+    ),
+    "variety": (
+        "build varieties and check the S_0 intersection",
+        {
+            "info": _add_variety(_run_variety_info),
+            "intersect": _add_variety(_run_variety_intersect),
+        },
+    ),
+    "restrict": (
+        "restriction norms, scans, region tests",
+        {"norm": _add_restrict_norm, "scan": _add_restrict_scan, "region": _add_restrict_region},
+    ),
+    "ft": ("Fourier engine self-test", {"selftest": _add_ft_selftest}),
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser, dest: str, names, built):
+    """A required subcommand action under parser, with parsers for the names in built only.
+
+    When some are left out, its usage still lists every name, as the full
+    tree's does.
+    """
+    metavar = None if len(built) == len(names) else "{" + ",".join(names) + "}"
+    return parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+
+
+def _named_path(argv: Sequence[str]) -> list[str]:
+    """The command, and the subcommand of a group, that argv starts with; [] if no leaf."""
+    if not argv or argv[0] not in _COMMANDS:
+        return []
+    child = _COMMANDS[argv[0]][1]
+    if callable(child):
+        return [argv[0]]
+    return list(argv[:2]) if len(argv) > 1 and argv[1] in child else []
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The ffharm parser, with only the parsers on the path to the command argv names.
+
+    ``["restrict", "scan", ...]`` gets three parsers (ffharm, restrict and
+    scan), not all fifteen.  Parsing argv, its usage errors and its help then
+    read as with every parser built, which is what argv gets when it names
+    no command (``--help``, an unknown command, no command at all).
+    """
+    path = _named_path(argv)
+    parser = argparse.ArgumentParser(
+        prog="ffharm",
+        description="Exponential sums, sphere transforms, and restriction scans over F_q^d.",
     )
-
-    p_norm = res_sub.add_parser("norm", parents=[common])
-    p_norm.add_argument("--q", type=_odd_prime, required=True)
-    p_norm.set_defaults(func=_run_restrict_norm)
-
-    p_scan = res_sub.add_parser("scan", parents=[common])
-    p_scan.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
-    p_scan.add_argument("--out", required=True)
-    p_scan.set_defaults(func=_run_restrict_scan)
-
-    p_region = res_sub.add_parser("region")
-    p_region.add_argument("--d", type=_dimension, required=True)
-    p_region.add_argument("--p", type=_exponent, required=True)
-    p_region.add_argument("--r", type=_exponent, required=True)
-    p_region.set_defaults(func=_run_restrict_region)
-
-    p_ftm = sub.add_parser("ft", help="Fourier engine self-test")
-    ft_sub = p_ftm.add_subparsers(dest="subcommand", required=True)
-    p_self = ft_sub.add_parser("selftest")
-    p_self.add_argument("--q", type=_odd_prime, required=True)
-    p_self.add_argument("--d", type=_dimension, required=True)
-    p_self.add_argument("--trials", type=_int_at_least("trials", 1), default=20)
-    p_self.add_argument("--seed", type=_seed, default=0)
-    p_self.set_defaults(func=_run_ft_selftest)
-
+    commands = path[:1] or list(_COMMANDS)
+    sub = _subparsers(parser, "command", _COMMANDS, commands)
+    for name in commands:
+        help_text, child = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if callable(child):
+            child(p)
+            continue
+        subcommands = path[1:] or list(child)
+        group = _subparsers(p, "subcommand", child, subcommands)
+        for subname in subcommands:
+            child[subname](group.add_parser(subname))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     args.parser = parser
     try:

@@ -9,14 +9,14 @@ a small, explicitly computable optimization problem:
 
 with A[x, j] the transform of the radius-j sphere indicator at x in V.
 Every routine reads A through its distinct rows, one per norm class of V,
-with the measure dsigma folded in (``_class_rows``), and takes every norm
-with ``_weighted_norm``.  ``rnorm_exact_22`` solves the Euclidean case p = r = 2
-exactly (top singular value, by one dense Hermitian eigensolve);
-``rnorm_search`` lower-bounds the general case by the multi-start
-nonlinear power method for p -> r norms (Boyd 1974; Higham 1992), all
-starts iterated together: by Holder's inequality no step lowers the
-ratio, and a start stops when a step no longer raises it by more than
-1e-13 relative; and
+with the measure dsigma folded in (``_class_rows``); the rows are real, as
+the sphere kernel is.  Every norm is taken with ``_weighted_norm``.
+``rnorm_exact_22`` solves the Euclidean case p = r = 2 exactly (top
+singular value, by one dense symmetric eigensolve); ``rnorm_search``
+lower-bounds the general case by the multi-start nonlinear power method
+for p -> r norms (Boyd 1974; Higham 1992), all starts iterated together:
+by Holder's inequality no step lowers the ratio, and a start stops when a
+step no longer raises it by more than 1e-13 relative; and
 ``witness_lower_bound`` evaluates the cheap closed-form witnesses.
 
 Exponent pairs are exact fractions throughout, so region membership and
@@ -241,14 +241,14 @@ def rnorm_exact_22(v: Variety) -> float:
     """The exact p = r = 2 restriction ratio over radial profiles.
 
     This is the largest singular value of the measure-weighted radial
-    matrix.  Its square is the top eigenvalue of the q x q Gram matrix of
-    the class rows (``_class_rows(v, 2)``, which carry the measure) scaled
-    by |S_j|^{-1/2} per radius, so one dense Hermitian eigensolve gives it;
-    the SVD of the full |V| x q weighted ``radial_matrix`` is its test
-    oracle.
+    matrix.  Its square is the top eigenvalue of the q x q Gram matrix
+    B^T B of the class rows (``_class_rows(v, 2)``, which carry the
+    measure) scaled by |S_j|^{-1/2} per radius.  The rows are real, so one
+    dense real symmetric eigensolve gives it; the SVD of the full |V| x q
+    weighted ``radial_matrix`` is its test oracle.
     """
     B = _class_rows(v, 2) / np.sqrt(sphere_sizes(v.ctx))
-    lam = float(np.linalg.eigvalsh(B.conj().T @ B)[-1])
+    lam = float(np.linalg.eigvalsh(B.T @ B)[-1])
     return math.sqrt(max(lam, 0.0))
 
 
@@ -315,7 +315,9 @@ def _power_method(
     rule fires, so it follows the path a run from it alone would take, up
     to rounding.  Starts flagged in the boolean mask ``vanishing`` have
     A M = 0 in exact arithmetic: they get the value 0 after 0 steps, since
-    a run from them would follow rounding noise.
+    a run from them would follow rounding noise.  Signed runs cast A to
+    complex once, since numpy leaves complex-by-real products out of BLAS;
+    nonneg runs iterate on A as given.
     """
 
     def unit(M: np.ndarray) -> np.ndarray:
@@ -325,6 +327,8 @@ def _power_method(
 
     pc = pf / (pf - 1.0)
     ones = np.ones(len(A))
+    if not nonneg:
+        A = A.astype(np.complex128)
     At, Ah = A.T, A.conj()
     profiles = unit(np.array(M0, dtype=np.float64 if nonneg else np.complex128))
     G = profiles @ At  # row i is A M_i

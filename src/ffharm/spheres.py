@@ -188,22 +188,28 @@ def sphere_ft_closed(ctx: FieldCtx, j: int, x: Sequence[int]) -> complex:
 
 
 def sphere_ft_kernel(ctx: FieldCtx) -> np.ndarray:
-    """The q x q table K[j, t] of the non-delta closed form at ||x|| = t.
+    """The real q x q table K[j, t] of the non-delta closed form at ||x|| = t.
 
     Away from the origin the closed form depends on x only through its
     quadratic norm.  Writing the Kloosterman (or, for odd d, Salie) sum as
     a sum over s in F_q^* of chi(-j s) chi(-t s^{-1} / 4) turns the whole
-    table into one matrix product; ``_closed_tail`` is its scalar oracle.
+    table into one matrix product K = G^d / q * J T.  K is real, since
+    S_j = -S_j, so it is formed as Re(J' T) = Re J' Re T - Im J' Im T with
+    J' = G^d / q * J: one float64 product of inner size 2(q - 1), read off
+    the cosine and sine parts of the character table.  The complex
+    ``_closed_tail`` is its scalar oracle.
     """
     q = ctx.q
     s = np.arange(1, q)
-    j_part = ctx.chars.chi_values[(-np.outer(np.arange(q), s)) % q]
+    chi = ctx.chars.chi_values
+    scaled = expsums.gauss(ctx, 1).value ** ctx.d / q * chi
+    j_index = (-np.outer(np.arange(q), s)) % q
+    j_part = np.hstack([scaled.real[j_index], -scaled.imag[j_index]])
     if ctx.d % 2 == 1:
-        j_part = j_part * ctx.chars.eta_values[s]
+        j_part *= np.tile(ctx.chars.eta_values[s], 2)
     quarter = (-inv(ctx, 4 % q) * ctx.inv_table[1:]) % q
-    t_part = ctx.chars.chi_values[np.outer(quarter, np.arange(q)) % q]
-    G = expsums.gauss(ctx, 1).value
-    return (G**ctx.d / q) * (j_part @ t_part)
+    t_index = np.outer(quarter, np.arange(q)) % q
+    return j_part @ np.vstack([chi.real[t_index], chi.imag[t_index]])
 
 
 def sphere_ft_closed_grid(ctx: FieldCtx, j: int) -> np.ndarray:

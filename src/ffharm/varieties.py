@@ -520,24 +520,34 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _block_spectrum(ctx: FieldCtx, n: int, terms, powers: np.ndarray, p: int) -> np.ndarray:
-    """The 2-D DFT mod p of the table of a block on x1..xn, in residues within p/2 + 2 of 0.
+def _block_source(ctx: FieldCtx, n: int, terms) -> np.ndarray:
+    """What ``_block_spectrum`` transforms for a block on x1..xn, under every modulus.
 
-    X[xi, s] = sum_y w^(xi f(y) + s ||y||).  For one variable that is the
-    product of the matrices w^(xi f(y)) and w^(y^2 s), and the table is
-    never formed; a wider block's table T is enumerated and transformed
-    as W T W, with W[j, k] = w^(jk).
+    For one variable, the q values f(y); for a wider block, its q x q
+    table (``_block_table``), so it is enumerated once, not once per modulus.
     """
     q = ctx.q
-    m = np.arange(q, dtype=np.int64)
     if n == 1:
-        f = np.broadcast_to(_sum_terms(terms, [m], q), (q,))
+        return np.broadcast_to(_sum_terms(terms, [np.arange(q, dtype=np.int64)], q), (q,))
+    return _block_table(ctx, frozenset(range(n)), terms)
+
+
+def _block_spectrum(source: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
+    """The 2-D DFT mod p of a block's table, in residues within p/2 + 2 of 0.
+
+    X[xi, s] = sum_y w^(xi f(y) + s ||y||), from the block's
+    ``_block_source``.  For one variable that is the product of the
+    matrices w^(xi f(y)) and w^(y^2 s), and the table is never formed; a
+    wider block's table T is transformed as W T W, with W[j, k] = w^(jk).
+    """
+    q = len(powers)
+    m = np.arange(q, dtype=np.int64)
+    if source.ndim == 1:
         by_norm = _power_matrix(powers, m * m % q, m)
-        spectrum = _power_matrix(powers, m, f) @ by_norm
+        spectrum = _power_matrix(powers, m, source) @ by_norm
         del by_norm
     else:
-        table = _block_table(ctx, frozenset(range(n)), terms).astype(np.float64)
-        _reduce(table, p)
+        table = _reduce(source.astype(np.float64), p)
         dft = _power_matrix(powers, m, m)
         spectrum = dft @ table
         del table
@@ -571,9 +581,11 @@ def _route_bytes(q: int, widest: int) -> int:
     or for a wider block W, its table and their products, or the
     temporary of a ``_reduce``.  The enumeration of a block of k >= 2
     variables holds about four q^k int64 arrays (values, norms, pairs and
-    their bincount), 32 q^k bytes more.
+    their bincount), 32 q^k bytes more, and its q x q int64 table is kept
+    for every modulus, 8 q^2 bytes more.  The enumerations end before the
+    transforms begin, so the sum covers up to five such tables.
     """
-    return 32 * q * q + (32 * q**widest if widest > 1 else 0)
+    return 32 * q * q + (8 * q * q + 32 * q**widest if widest > 1 else 0)
 
 
 def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
@@ -615,14 +627,18 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
     moduli = _moduli(q, int(sizes.max()))
     c = sum(sign * eval_poly(term, (), q) for sign, term in constants)
     m = np.arange(q, dtype=np.int64)
+    sources = [
+        (_block_source(ctx, n, terms), count)
+        for (n, terms), count in _distinct_blocks(blocks).items()
+    ]
     residues = []
     for p, w in moduli:
         # w^k mod p for k = 0..q-1, within p/2 of 0
         powers = np.array([pow(w, k, p) for k in range(q)], dtype=np.float64)
         powers[2 * powers > p] -= p
         spectrum = None
-        for (n, terms), count in _distinct_blocks(blocks).items():
-            factor = _block_spectrum(ctx, n, terms, powers, p)
+        for source, count in sources:
+            factor = _block_spectrum(source, powers, p)
             if spectrum is None:
                 # the first factor, copied when it multiplies the spectrum again
                 spectrum = factor.copy() if count > 1 else factor

@@ -28,6 +28,7 @@ from ffharm import fourier
 from ffharm.cli import (
     ScanSpec,
     _scan_row,
+    build_parser,
     cmd_ft_selftest,
     cmd_restrict_scan,
     cmd_sum,
@@ -495,3 +496,129 @@ def test_refused_over_the_byte_budget_exits_2(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: counting")
     assert "over the budget of 800000000" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# build_parser(argv) builds only the parsers on the path argv names
+
+
+def _split(*lines):
+    return [line.split() for line in lines]
+
+
+_SCAN_D4 = "restrict scan --variety paraboloid --d 4 --q 41,47,53,61 --p 2 --r 2 --method exact22"
+
+# every leaf command line of these tests, the CI workflow, the demos (none)
+# and the benchmark workloads
+_LEAF_LINES = _split(
+    "sum kloosterman --q 3 --a 1 --b 1",
+    "sum gauss --q 5 --a 1",
+    "sphere count --q 3 --d 2 --j 1",
+    "sphere ft --q 3 --d 2 --j 1 --x 1,1",
+    "sphere verify-lemma1 --q 3,10007 --d 2,3",
+    "sphere verify-lemma1 --q 3 --d 2 --tol 1e-6",
+    "sphere verify-lemma1 --q 3,5,7,11,13,17 --d 2,3",
+    "sphere verify-lemma1 --q 3,5,7,11 --d 4",
+    "sphere verify-lemma1 --q 13 --d 4",
+    "sphere verify-lemma1 --q 5,7 --d 5",
+    "variety info --q 3 --d 3 --variety paraboloid",
+    "variety intersect --q 3 --d 3 --variety sphere:0",
+    "variety info --q 1009 --d 4 --variety poly:x1^2+x2^2-x3*x4",
+    "variety info --q 31 --d 10 --variety paraboloid",
+    "restrict norm --q 5 --d 3 --variety paraboloid --p 2 --r 2 --method exact22",
+    "restrict norm --q 7 --d 3 --variety paraboloid --r 2 --p 3/2 --seed 2",
+    "restrict norm --q 101 --d 3 --variety paraboloid --p 3/2 --r 2",
+    "restrict region --d 3 --p 3/2 --r 2",
+    "restrict scan --variety paraboloid --d 3 --q 13,31,61,101 --p 3/2 --r 2 --method search"
+    " --seed 0 --out search_d3.csv",
+    "restrict scan --variety paraboloid --d 4 --q 11,31 --p 8/5 --r 2 --method search --seed 1"
+    " --out search_d4.csv",
+    _SCAN_D4 + " --seed 0 --out exact_d4_paraboloid.csv",
+    "restrict scan --variety poly:x1^2+x2^2-x3*x4 --d 4 --q 41,47,53,61 --p 2 --r 2"
+    " --method exact22 --seed 3 --out exact_d4_null_cone.csv",
+    "restrict scan --method exact22 --variety paraboloid --d 3 --q 1009 --p 2 --r 2 --out x.csv",
+    "restrict scan --method search --sign-mode nonneg --variety paraboloid --d 3 --q 1009"
+    " --p 3/2 --r 2 --out x.csv",
+    "ft selftest --q 3 --d 2 --trials 3",
+    "ft selftest --q 5 --d 2 --trials 4 --seed 7",
+    "ft selftest --q 13 --d 3 --seed 2",
+)
+
+
+@pytest.mark.parametrize("argv", _LEAF_LINES, ids=" ".join)
+def test_pruned_parser_parses_like_the_full_tree(argv):
+    assert vars(build_parser(argv).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_pruned_parser_holds_only_the_named_path(capsys):
+    scan = build_parser(_SCAN_D4.split())
+    with pytest.raises(SystemExit):
+        scan.parse_args(["sum", "gauss", "--q", "5", "--a", "1"])
+    assert "invalid choice: 'sum'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _split(
+        "--help",
+        "restrict --help",
+        "restrict scan --help",
+        "bogus",  # an unknown command
+        _SCAN_D4,  # no --out
+        _SCAN_D4 + " --out x.csv --d 1",
+        # reported by the top-level parser, whose usage names every command
+        _SCAN_D4 + " --out x.csv --p 3/2",
+        _SCAN_D4 + " --out x.csv --bogus 1",
+    ),
+    ids=" ".join,
+)
+def test_pruned_parser_prints_like_the_full_tree(monkeypatch, capsys, argv):
+    def run():
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        return info.value.code, capsys.readouterr()
+
+    pruned = run()
+    full_tree = ffharm.cli.build_parser
+    monkeypatch.setattr(ffharm.cli, "build_parser", lambda argv: full_tree())
+    assert run() == pruned
+
+
+# the order of each leaf's arguments and the commands' help texts, which
+# the pruned and full trees share, so the tests above cannot see them
+_USAGE = {
+    "sum": "[-h] --q Q --a A [--b B] {gauss,kloosterman,salie}",
+    "sphere count": "[-h] --q Q --d D --j J",
+    "sphere ft": "[-h] --q Q --d D --j J --x X",
+    "sphere verify-lemma1": "[-h] --q Q --d D [--tol TOL]",
+    "variety info": "[-h] --q Q --d D --variety VARIETY",
+    "variety intersect": "[-h] --q Q --d D --variety VARIETY",
+    "restrict norm": "[-h] --d D --variety VARIETY --p P --r R [--method {search,exact22,witness}]"
+    " [--starts STARTS] [--seed SEED] [--sign-mode {signed,nonneg}] --q Q",
+    "restrict scan": "[-h] --d D --variety VARIETY --p P --r R [--method {search,exact22,witness}]"
+    " [--starts STARTS] [--seed SEED] [--sign-mode {signed,nonneg}] --q Q --out OUT",
+    "restrict region": "[-h] --d D --p P --r R",
+    "ft selftest": "[-h] --q Q --d D [--trials TRIALS] [--seed SEED]",
+}
+
+
+@pytest.mark.parametrize("command", list(_USAGE))
+def test_leaf_usage_line(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(command.split() + ["--help"])
+    assert capsys.readouterr().out.splitlines()[0] == f"usage: ffharm {command} {_USAGE[command]}"
+
+
+def test_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert """
+  {sum,sphere,variety,restrict,ft}
+    sum                 compute one exponential sum and check its bound
+    sphere              sphere cardinalities and transforms
+    variety             build varieties and check the S_0 intersection
+    restrict            restriction norms, scans, region tests
+    ft                  Fourier engine self-test
+""" in capsys.readouterr().out

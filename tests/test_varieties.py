@@ -37,6 +37,7 @@ from ffharm.varieties import (
     _block_spectrum,
     _block_table,
     _blocks,
+    _distinct_blocks,
     _moduli,
     _radius_counts,
     _route_bytes,
@@ -338,14 +339,17 @@ _EARLIER_ROUTE_Q = {"matrix": 211, "real": 401, "complex": 1423, "int64": 1483}
     ],
 )
 def test_one_transform_per_distinct_block(d, name, transforms, route):
-    # each modulus has its own transforms; the oracle is too slow past q = 211
+    # each modulus has its own transforms, but a block of two or more
+    # variables is enumerated once; the oracle is too slow past q = 211
     q = _EARLIER_ROUTE_Q[route]
     ctx = FieldCtx(q, d)
     moduli = _moduli(q, int(sphere_sizes(ctx).max()))
     assert len(moduli) == (2 if d == 4 and q > 211 else 1)
     with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=_block_spectrum) as forward:
-        v = build_variety(ctx, name)
+        with mock.patch.object(ffharm.varieties, "_block_table", side_effect=_block_table) as tables:
+            v = build_variety(ctx, name)
     assert forward.call_count == transforms * len(moduli)
+    assert tables.call_count == sum(n > 1 for n, _ in _distinct_blocks(_blocks(v.expr, d)[0]))
     if q == 211:
         assert np.array_equal(v.radius_counts, _int64_counts(ctx, v.expr))
 
