@@ -193,9 +193,10 @@ def _run_sphere_ft(args) -> int:
 def cmd_verify_lemma1(q_list: Sequence[int], d_list: Sequence[int], tol: float = 1e-6) -> int:
     """Exhaustive brute-force-vs-closed sphere transform comparison per (q, d).
 
-    Every pair's budget is checked before any pair runs: the check visits
-    about q^(2d-1) (m, x) pairs, so a request with one pair whose q^(2d-1)
-    exceeds ``GRID_BUDGET`` raises ``TooLarge`` with nothing printed.  An
+    Every pair's budget is checked before any pair runs: a request with
+    one pair whose q^(2d-1), the budget in brute-force pairs that
+    ``verify_closed_form`` keeps, exceeds ``GRID_BUDGET`` raises
+    ``TooLarge`` with nothing printed.  An
     empty or repeated list of q or d raises ``ValueError`` up front too; a
     bad ``tol`` raises it from the first pair, also before any output.
     """

@@ -12,10 +12,11 @@ scale, so each axis stage is a plain matrix product.
 on its own and factors nothing through the axes, so it stays independent
 of ``ft_fast`` and of the closed form; it only reads each dot from
 per-axis tables and each character value from one table, in cache-sized
-chunks.  ``verify_closed_form`` runs ``spheres.sphere_ft_counted``
-instead, which sums exact dot counts per line through the origin in
-chunks of the same ``NAIVE_BUDGET``; ``sphere_ft_naive_grid`` is its
-oracle.
+chunks.  ``verify_closed_form`` runs ``spheres._line_pair_chunks``
+instead, which counts pairs of lines through the origin for every radius
+at once, in chunks of the same ``NAIVE_BUDGET``; its oracle is
+``spheres.sphere_ft_counted``, whose own oracle is
+``sphere_ft_naive_grid``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ import numpy as np
 from .field import FieldCtx
 from .errors import DimensionMismatch, SideMismatch
 
-# Entries of the m.x table that character_sums (and spheres.sphere_ft_counted)
-# holds at once.  At 2^16 the int64 dots (512 KiB) and their complex
-# character values (1 MiB) stay in a 2 MiB L2 cache; on a 2-vCPU Xeon VM the
-# certify workload's sphere sums, then run by character_sums, took 1.2 s at
-# 2^16 against 3.4 s at 2^22 (2^15 and 2^17 were within 20%).
+# Entries of the m.x table that character_sums holds at once, and of the
+# dot tables of the counted sphere routes in spheres.  At 2^16 the int64
+# dots (512 KiB) and their complex character values (1 MiB) stay in a 2 MiB
+# L2 cache; on a 2-vCPU Xeon VM the certify workload's sphere sums, then run
+# by character_sums, took 1.2 s at 2^16 against 3.4 s at 2^22 (2^15 and
+# 2^17 were within 20%).  The line-pair route of verify_closed_form ran
+# within noise of its 2^16 time from 2^13 to 2^18.
 NAIVE_BUDGET = 1 << 16
 
 

@@ -10,16 +10,17 @@ with G the Gauss sum at parameter 1, K the Kloosterman sum and S the
 Salie sum.  ``verify_closed_form`` compares the two routes exhaustively;
 agreement over all (j, x) is the correctness certificate for the closed
 route, which the restriction machinery then relies on for speed.  Its
-brute-force side is ``sphere_ft_counted``: exact integer counts of the
-dots m . x, one x per line through the origin, with
-``sphere_ft_naive_grid`` (every term chi(-m . x) on its own) as that
-route's oracle.
+brute-force side is ``_line_pair_chunks``: exact integer counts over
+pairs of lines through the origin, every radius at once.  Its oracles
+are ``sphere_ft_counted`` (exact counts of the dots m . x, one x per
+line, one radius at a time) and, behind that, ``sphere_ft_naive_grid``
+(every term chi(-m . x) on its own).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -122,6 +123,9 @@ def _lines(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
 def sphere_ft_counted(sphere: Sphere) -> np.ndarray:
     """Brute-force transform at every dual point from exact dot counts, lex order.
 
+    One radius at a time; it is the oracle of ``_line_pair_chunks``, the
+    all-radii route that ``verify_closed_form`` runs.
+
     For x = 0 the value is |S_j|.  Every other x is lambda x' for one
     lambda in F_q^* and one representative x' of its line through the
     origin (``_lines``).  For each x' the count
@@ -160,6 +164,89 @@ def sphere_ft_counted(sphere: Sphere) -> np.ndarray:
         counts = np.bincount(dots.ravel(), minlength=len(rows) * span)
         out[line_flat[lo : lo + chunk]] = counts.reshape(len(rows), span) @ chi_line
     return out
+
+
+def _pair_class(ctx: FieldCtx, n, t) -> np.ndarray:
+    """The class in 0..q+2 of the pair (n, t) = (||m'||, m' . x') mod q.
+
+    The line sum sum_{mu in F_q^*, mu^2 n = j} chi(-mu t) depends on (n, t)
+    only through this class: u = t^2 / n in 1..q-1 when n, t != 0 (put
+    s = mu t, so s^2 = j u); 0 for (0, 0); q for n = 0, t != 0; q + 1 and
+    q + 2 for t = 0 with eta(n) = +1 and -1.
+    """
+    q = ctx.q
+    n, t = np.asarray(n) % q, np.asarray(t) % q
+    u = t * t % q * ctx.inv_table[n] % q
+    by_eta = q + (3 - ctx.chars.eta_values[n]) // 2
+    return np.where(n == 0, np.where(t == 0, 0, q), np.where(t == 0, by_eta, u))
+
+
+def _class_table(ctx: FieldCtx) -> np.ndarray:
+    """The real (q + 3) x q table of sum_{mu in F_q^*, mu^2 n = j} cos(2 pi mu t / q).
+
+    Row c is that line sum at every j for one pair (n, t) of class c
+    (``_pair_class``): (0, 0) for c = 0, (1/u, 1) for c = u in 1..q-1,
+    then (0, 1), (1, 0) and (g, 0) with g a nonsquare.  It is real because
+    mu and -mu both solve mu^2 n = j.
+    """
+    q = ctx.q
+    nonsquare = int(np.argmax(ctx.chars.eta_values < 0))
+    n = np.concatenate([[0], ctx.inv_table[1:], [0, 1, nonsquare]])
+    t = np.concatenate([[0], np.ones(q - 1, dtype=np.int64), [1, 0, 0]])
+    mu = np.arange(1, q)
+    table = np.zeros((q + 3, q))
+    cosines = ctx.chars.chi_values.real[np.outer(t, mu) % q]
+    np.add.at(table, (np.arange(q + 3)[:, None], np.outer(n, mu * mu) % q), cosines)
+    return table
+
+
+def _line_pair_chunks(ctx: FieldCtx) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Brute-force transforms of every sphere at once, from exact counts over pairs of lines.
+
+    Yields (flat, values) with values[i, j] = T[j, flat[i]], where
+    T[j, x] = sum_{m in S_j} chi(-m . x): the origin first, then the lines
+    through it in chunks of their representatives x' (``_lines``).  Every
+    nonzero m is mu m' for one representative m' and one mu in F_q^*, so
+
+        T[j, x'] = [j = 0] + sum_{m'} sum_{mu: mu^2 ||m'|| = j} chi(-mu (m' . x')),
+
+    whose inner sum is the ``_class_table`` row of the class of
+    (||m'||, m' . x') (``_pair_class``).  Each dot is summed term by term
+    from d per-axis int32 tables A_i[a, m'] = a m'_i mod q, the first
+    offset by ||m'|| span so the sum keys a class lookup; one bincount
+    counts the classes of a chunk and one float64 product gives T[j, x'].
+    The rest of the line is one gather, T[j, lambda x'] = T[lambda^2 j, x']
+    (substitute m -> lambda m).  No Gauss, Kloosterman or Salie sum enters
+    and nothing is factored through the axes: every pair (m', x'), about
+    q^{2d-2}, is visited.  A chunk holds max(1, NAIVE_BUDGET //
+    max(#representatives, q^2)) lines.  ``sphere_ft_counted`` is its oracle.
+    """
+    q, d = ctx.q, ctx.d
+    reps, line_flat = _lines(ctx)
+    span = d * (q - 1) + 1  # dots lie in [0, span)
+    field = np.arange(q)
+    lookup = _pair_class(ctx, field[:, None], field)[:, np.arange(span) % q].ravel()  # [n span + dot]
+    table = _class_table(ctx)
+    keys = ((reps * reps).sum(axis=1) % q * span).astype(np.int32)  # ||m'|| span
+    axis = np.arange(q, dtype=np.int64)
+    tables = [(np.outer(axis, reps[:, i]) % q).astype(np.int32) for i in range(d)]
+    tables[0] += keys
+    origin = np.bincount(lookup[keys], minlength=q + 3) @ table  # every dot is 0
+    origin[0] += 1  # m = 0
+    yield np.zeros(1, dtype=np.int64), origin[None, :]
+    scaled = np.outer(np.arange(1, q) ** 2, np.arange(q)) % q  # [lambda - 1, j] = lambda^2 j
+    chunk = max(1, fourier.NAIVE_BUDGET // max(len(reps), q * q))
+    for lo in range(0, len(reps), chunk):
+        rows = reps[lo : lo + chunk]
+        key = tables[0][rows[:, 0]]
+        for i in range(1, d):
+            key += tables[i][rows[:, i]]
+        classes = lookup[key]
+        classes += (q + 3) * np.arange(len(rows))[:, None]  # one bin range per row
+        counts = np.bincount(classes.ravel(), minlength=len(rows) * (q + 3))
+        line = counts.reshape(len(rows), q + 3).astype(np.float64) @ table
+        line[:, 0] += 1  # m = 0
+        yield line_flat[lo : lo + chunk].ravel(), line[:, scaled].reshape(-1, q)
 
 
 def _closed_tail(ctx: FieldCtx, j: int, t: int) -> complex:
@@ -235,29 +322,36 @@ def verify_closed_form(
 ) -> tuple[float, tuple[int, tuple[int, ...]] | None]:
     """Exhaustive brute-force-vs-closed comparison over all j and all x.
 
-    The brute-force side is ``sphere_ft_counted``; the closed side reads
-    one kernel table, built once.  Returns the maximum absolute
-    discrepancy (NaN if any value is NaN) and the first (j, x) whose error
-    is not at most ``tol`` (None when every point agrees), so a NaN anywhere
-    is a failure.  ``tol`` must be finite and > 0.  Raises ``TooLarge``
-    when q^(2d-1), about the number of (m, x) pairs the counted route
-    visits, exceeds ``GRID_BUDGET``.
+    The brute-force side is ``_line_pair_chunks``, every radius at once;
+    each chunk is compared as it arrives with the closed side, which reads
+    one kernel table, built once, at the norm of each x.  No q x q^d table
+    is held.  Returns the maximum absolute discrepancy (NaN if any value is
+    NaN) and the first (j, x), smallest j first and then x in lex order,
+    whose error is not at most ``tol`` (None when every point agrees), so a
+    NaN anywhere is a failure.  ``tol`` must be finite and > 0.  Raises
+    ``TooLarge`` when q^(2d-1) exceeds ``GRID_BUDGET``: about the number of
+    (m, x) pairs its oracle ``sphere_ft_counted`` visits, where this route
+    visits about q^(2d-2) pairs of lines.
     """
     ctx.check_budget(2 * ctx.d - 1)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
-    kernel = sphere_ft_kernel(ctx)
+    by_norm = np.ascontiguousarray(sphere_ft_kernel(ctx).T)  # [t, j]
     norms = ctx.grid_norms()
     worst = []
-    first_bad = None
-    for j in range(ctx.q):
-        brute = sphere_ft_counted(enumerate_sphere(ctx, j))
-        closed = kernel[j][norms]
-        closed[0] += ctx.q ** (ctx.d - 1)  # flat index 0 is the origin
-        err = np.abs(brute - closed)
+    first = np.full(ctx.q, ctx.size)  # per j, the smallest bad flat index
+    for flat, brute in _line_pair_chunks(ctx):
+        err = by_norm[norms[flat]]  # the closed side, then its error in place
+        err[flat == 0] += ctx.q ** (ctx.d - 1)  # the origin
+        err -= brute
+        np.abs(err, out=err)
         worst.append(err.max())
-        bad = ~(err <= tol)
-        if first_bad is None and bad.any():
-            x = tuple(int(c) for c in ctx.grid_points()[int(np.argmax(bad))])
-            first_bad = (j, x)
+        if not worst[-1] <= tol:
+            bad = ~(err <= tol)
+            first = np.minimum(first, np.where(bad, flat[:, None], ctx.size).min(axis=0))
+    bad_j = np.flatnonzero(first < ctx.size)
+    first_bad = None
+    if bad_j.size:
+        j = int(bad_j[0])
+        first_bad = (j, tuple(int(c) for c in ctx.grid_points()[first[j]]))
     return float(np.max(worst)), first_bad  # np.max keeps a NaN

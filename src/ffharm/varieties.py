@@ -573,19 +573,21 @@ def _crt(residues, moduli, bound: np.ndarray) -> np.ndarray:
     return x
 
 
-def _route_bytes(q: int, widest: int) -> int:
+def _route_bytes(q: int, widest: int, kept: int) -> int:
     """Peak bytes of the arrays ``_radius_counts`` holds at once.
 
-    Four q x q float64 arrays, 32 q^2 bytes: the product of the spectra,
-    and for a one-variable block its two power matrices and their product,
-    or for a wider block W, its table and their products, or the
-    temporary of a ``_reduce``.  The enumeration of a block of k >= 2
+    The transforms hold four q x q float64 arrays, 32 q^2 bytes: the
+    product of the spectra, and for a one-variable block its two power
+    matrices and their product, or for a wider block W, its table and
+    their products, or the temporary of a ``_reduce``.  Each block of two
+    or more variables keeps its q x q int64 table for every modulus, 8 q^2
+    bytes for each of the ``kept`` tables.  Enumerating a block of k >= 2
     variables holds about four q^k int64 arrays (values, norms, pairs and
-    their bincount), 32 q^k bytes more, and its q x q int64 table is kept
-    for every modulus, 8 q^2 bytes more.  The enumerations end before the
-    transforms begin, so the sum covers up to five such tables.
+    their bincount), 32 q^k bytes, while at most kept - 1 tables are kept.
+    The enumerations end before the transforms begin, so the peak is the
+    larger of the two phases.
     """
-    return 32 * q * q + (8 * q * q + 32 * q**widest if widest > 1 else 0)
+    return max(32 * q**widest + 8 * q * q * (kept - 1), 32 * q * q + 8 * q * q * kept)
 
 
 def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
@@ -617,7 +619,8 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
     blocks, constants = _blocks(expr, d)
     widest = max(len(axes) for axes, _ in blocks)
     ctx.check_budget(widest)
-    need = _route_bytes(q, widest)
+    distinct = _distinct_blocks(blocks)
+    need = _route_bytes(q, widest, sum(n > 1 for n, _ in distinct))
     if need > 8 * GRID_BUDGET:
         raise TooLarge(
             f"counting {pretty_print(expr)} at q={q}, d={d} needs about {need} bytes, "
@@ -627,10 +630,7 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
     moduli = _moduli(q, int(sizes.max()))
     c = sum(sign * eval_poly(term, (), q) for sign, term in constants)
     m = np.arange(q, dtype=np.int64)
-    sources = [
-        (_block_source(ctx, n, terms), count)
-        for (n, terms), count in _distinct_blocks(blocks).items()
-    ]
+    sources = [(_block_source(ctx, n, terms), count) for (n, terms), count in distinct.items()]
     residues = []
     for p, w in moduli:
         # w^k mod p for k = 0..q-1, within p/2 of 0

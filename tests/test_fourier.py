@@ -18,6 +18,7 @@ from ffharm import (
     sphere_ft_naive_grid,
 )
 from ffharm import fourier
+from ffharm.spheres import _line_pair_chunks
 
 
 def rel_err(a, b):
@@ -134,20 +135,29 @@ def test_oracles_independent_of_chunk_budget(monkeypatch):
     m = spheres[2].points
     weights = rng.standard_normal((len(m), 3)) + 1j * rng.standard_normal((len(m), 3))
 
+    def line_pairs():
+        out = np.full((ctx.q, ctx.size), np.nan)
+        for flat, values in _line_pair_chunks(ctx):
+            out[:, flat] = values.T
+        return out
+
     def oracles():
         return (
             [ft_naive(f).values]
             + [sphere_ft_naive_grid(s) for s in spheres]
             + [sphere_ft_counted(s) for s in spheres]
             + [fourier.character_sums(ctx, m, weights)]
+            + [line_pairs()]
         )
 
     default = oracles()
     # 1 is below one row, so every chunk holds a single x (a single line
-    # for sphere_ft_counted); at 1000 the chunks hold several and the last
-    # one is partial.  The values agree to rounding: a one-row chunk's
-    # product may take another BLAS path than a many-row one.
-    for budget in (1, 1000):
+    # for sphere_ft_counted and _line_pair_chunks); at 1000 the chunks hold
+    # several and the last one is partial, except that the 31 lines of
+    # _line_pair_chunks fit one chunk, so at 300 they take four, the last
+    # partial.  The values agree to rounding: a one-row chunk's product may
+    # take another BLAS path than a many-row one.
+    for budget in (1, 300, 1000):
         monkeypatch.setattr(fourier, "NAIVE_BUDGET", budget)
         for a, b in zip(oracles(), default):
             assert a.shape == b.shape

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from ffharm import (
     verify_closed_form,
 )
 from ffharm.field import cyclic_convolve
-from ffharm.spheres import _closed_tail, _lines
+from ffharm.spheres import _class_table, _closed_tail, _line_pair_chunks, _lines, _pair_class
 
 
 def test_enumeration_examples():
@@ -343,16 +344,99 @@ def test_verify_rejects_tol_that_is_not_finite_and_positive(tol):
 
 def test_verify_fails_on_a_nan_brute_force_value(monkeypatch):
     # a NaN on the brute-force side is a failure too, never a pass
-    real_counted = ffharm.spheres.sphere_ft_counted
+    real_chunks = ffharm.spheres._line_pair_chunks
 
-    def with_nan(sphere):
-        out = real_counted(sphere)
-        if sphere.j == 2:
-            out[7] = np.nan
-        return out
+    def with_nan(ctx):
+        for flat, values in real_chunks(ctx):
+            values[flat == 7, 2] = np.nan
+            yield flat, values
 
-    monkeypatch.setattr(ffharm.spheres, "sphere_ft_counted", with_nan)
+    monkeypatch.setattr(ffharm.spheres, "_line_pair_chunks", with_nan)
     ctx = FieldCtx(3, 2)
     max_err, first_bad = verify_closed_form(ctx, tol=1.0)
     assert math.isnan(max_err)
     assert first_bad == (2, tuple(int(c) for c in ctx.grid_points()[7]))
+
+
+def test_first_bad_is_the_smallest_j_then_the_first_x(monkeypatch):
+    # one line per chunk at (5, 3): flat 100 = (4, 0, 0) lies on the line
+    # of (1, 0, 0), which comes before the line of (1, 3, 0) = flat 40
+    real_chunks = ffharm.spheres._line_pair_chunks
+    shifted = {(3, 1), (2, 100), (2, 40)}
+
+    def with_errors(ctx):
+        for flat, values in real_chunks(ctx):
+            for j, x in shifted:
+                values[flat == x, j] += 1.0
+            yield flat, values
+
+    monkeypatch.setattr(ffharm.fourier, "NAIVE_BUDGET", 1)
+    monkeypatch.setattr(ffharm.spheres, "_line_pair_chunks", with_errors)
+    ctx = FieldCtx(5, 3)
+    max_err, first_bad = verify_closed_form(ctx, tol=0.5)
+    assert abs(max_err - 1.0) < 1e-9
+    assert first_bad == (2, (1, 3, 0))
+
+
+# ---------------------------------------------------------------------------
+# every radius at once, from pairs of lines, against the counted route
+
+# every (q, d) with q^{2d-1} <= 10^7 for q in {3, 5, 7, 11, 13}, d in 2..5
+_LINE_PAIR_CASES = [
+    (q, d) for q in (3, 5, 7, 11, 13) for d in range(2, 6) if q ** (2 * d - 1) <= 10**7
+]
+
+
+def _line_pair_table(ctx):
+    """The q x q^d table T[j, x] that _line_pair_chunks yields, each x once."""
+    out = np.full((ctx.q, ctx.size), np.nan)
+    for flat, values in _line_pair_chunks(ctx):
+        assert values.shape == (len(flat), ctx.q) and values.dtype == np.float64
+        assert np.isnan(out[:, flat]).all()
+        out[:, flat] = values.T
+    return out
+
+
+@pytest.mark.parametrize("q,d", _LINE_PAIR_CASES)
+def test_line_pair_route_matches_counted_route(q, d):
+    ctx = FieldCtx(q, d)
+    counted = np.stack([sphere_ft_counted(enumerate_sphere(ctx, j)) for j in range(q)])
+    assert np.abs(_line_pair_table(ctx) - counted).max() < 1e-11  # a NaN fails
+
+
+def test_line_pair_cases_cover_both_residues_mod_4():
+    assert {q % 4 for q, _ in _LINE_PAIR_CASES} == {1, 3}
+    assert {d for _, d in _LINE_PAIR_CASES} == {2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_class_rows_are_the_line_sums(q):
+    # sum_{mu in F_q^*, mu^2 n = j} chi(-mu t), summed directly, at every (n, t)
+    ctx = FieldCtx(q, 2)
+    table = _class_table(ctx)
+    assert table.shape == (q + 3, q)
+    n, t = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    classes = _pair_class(ctx, n, t)
+    assert set(classes.ravel().tolist()) == set(range(q + 3))
+    for a in range(q):
+        for b in range(q):
+            direct = np.zeros(q, dtype=np.complex128)
+            for mu in range(1, q):
+                direct[mu * mu * a % q] += cmath.exp(-2j * cmath.pi * mu * b / q)
+            assert np.abs(direct.imag).max() < 1e-12
+            assert np.abs(table[classes[a, b]] - direct.real).max() < 1e-12
+
+
+def test_verify_holds_no_table_over_every_x():
+    # a q x q^d float64 table at (211, 2) would take 75 MB
+    import tracemalloc
+
+    ctx = FieldCtx(211, 2)
+    tracemalloc.start()
+    try:
+        max_err, first_bad = verify_closed_form(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first_bad is None and max_err < 1e-12
+    assert peak < 16e6

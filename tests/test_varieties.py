@@ -261,7 +261,7 @@ def _assert_moduli(q, bound):
 
 def test_moduli_at_every_q():
     # every prime the byte budget admits at d = 3, where max |S_t| = q^2 + q
-    last = max(q for q in range(3, 10**4) if is_odd_prime(q) and _route_bytes(q, 1) <= 8 * GRID_BUDGET)
+    last = max(q for q in range(3, 10**4) if is_odd_prime(q) and _route_bytes(q, 1, 0) <= 8 * GRID_BUDGET)
     assert last == 4999
     for q in range(3, last + 1):
         if is_odd_prime(q):
@@ -368,7 +368,7 @@ def test_byte_budget_counts_the_block_enumeration():
     # budget, but their int64 arrays would take about 3.2 GB; q = 211
     # builds (test_transform_route_matches_int64_route_at_scale)
     assert 463**3 <= GRID_BUDGET
-    assert _route_bytes(211, 3) <= 8 * GRID_BUDGET < _route_bytes(463, 3)
+    assert _route_bytes(211, 3, 1) <= 8 * GRID_BUDGET < _route_bytes(463, 3, 1)
     with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
         with pytest.raises(TooLarge, match=f"over the budget of {8 * GRID_BUDGET}"):
             build_variety(FieldCtx(463, 3), "poly:x1*x2*x3-1")
@@ -376,7 +376,7 @@ def test_byte_budget_counts_the_block_enumeration():
 
 @pytest.mark.parametrize("q,d", [(2003, 3), (1009, 4), (31, 10)])
 def test_byte_budget_admits(q, d):
-    assert _route_bytes(q, 1) <= 8 * GRID_BUDGET
+    assert _route_bytes(q, 1, 0) <= 8 * GRID_BUDGET
     assert build_variety(FieldCtx(q, d), "paraboloid").cardinality == q ** (d - 1)
 
 
@@ -391,7 +391,9 @@ def test_route_bytes_bound_the_traced_peak(src, route):
     q = _EARLIER_ROUTE_Q[route]
     d = src.count("x")
     ctx, expr = FieldCtx(q, d), parse_poly(src, d)
-    need = _route_bytes(q, max(len(axes) for axes, _ in _blocks(expr, d)[0]))
+    blocks = _blocks(expr, d)[0]
+    kept = sum(n > 1 for n, _ in _distinct_blocks(blocks))
+    need = _route_bytes(q, max(len(axes) for axes, _ in blocks), kept)
     tracemalloc.start()
     try:
         _radius_counts(ctx, expr)
@@ -399,6 +401,33 @@ def test_route_bytes_bound_the_traced_peak(src, route):
     finally:
         tracemalloc.stop()
     assert need / 2 <= peak <= need + 2**18
+
+
+def test_route_bytes_count_every_kept_table():
+    # x1*x2+x3^2*x4 keeps two q x q int64 tables through the transforms, so
+    # its traced peak is about six tables: past an estimate that leaves out
+    # the 8 q^2 per kept table (four tables) or counts it once (five)
+    import tracemalloc
+
+    q, d = 401, 4
+    ctx, expr = FieldCtx(q, d), parse_poly("x1*x2+x3^2*x4", d)
+    assert [n for n, _ in _distinct_blocks(_blocks(expr, d)[0])] == [2, 2]
+    tracemalloc.start()
+    try:
+        _radius_counts(ctx, expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 40 * q * q + 2**18 < peak <= _route_bytes(q, 2, 2) + 2**18
+
+
+def test_byte_budget_refuses_the_null_cone_past_4463():
+    # 40 q^2 bytes: four transform arrays beside the one kept table; the
+    # enumeration of the two-variable block, 32 q^2, ends before them
+    assert _route_bytes(4463, 2, 1) <= 8 * GRID_BUDGET < _route_bytes(4481, 2, 1)
+    with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
+        with pytest.raises(TooLarge, match=f"over the budget of {8 * GRID_BUDGET}"):
+            build_variety(FieldCtx(4481, 4), "poly:x1^2+x2^2-x3*x4")
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "poly:x1^2+x2^2-x3*x4"])
