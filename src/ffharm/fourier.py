@@ -29,12 +29,12 @@ from .field import FieldCtx
 from .errors import DimensionMismatch, SideMismatch
 
 # Entries of the m.x table that character_sums holds at once, and of the
-# dot tables of the counted sphere routes in spheres.  At 2^16 the int64
-# dots (512 KiB) and their complex character values (1 MiB) stay in a 2 MiB
-# L2 cache; on a 2-vCPU Xeon VM the certify workload's sphere sums, then run
-# by character_sums, took 1.2 s at 2^16 against 3.4 s at 2^22 (2^15 and
-# 2^17 were within 20%).  The line-pair route of verify_closed_form ran
-# within noise of its 2^16 time from 2^13 to 2^18.
+# dot tables of the counted sphere routes in spheres.  At 2^16 the int32
+# dots (256 KiB) and their complex character values (1 MiB) stay in a 2 MiB
+# L2 cache.  On a 2-vCPU Xeon VM, in process, ft selftest --q 13 --d 3
+# took about 40 ms a call at 2^16 (median of 10 after warm-up), against
+# 53 ms at 2^14, 40 ms at 2^18 and 48 ms at 2^20.  The line-pair route of
+# verify_closed_form ran within noise of its 2^16 time from 2^13 to 2^18.
 NAIVE_BUDGET = 1 << 16
 
 
@@ -100,30 +100,45 @@ def character_sums(ctx: FieldCtx, m: np.ndarray, weights: np.ndarray) -> np.ndar
     the dot m_i . x is read as sum_j A_j[x_j, i] from d per-axis tables
     A_j[a, i] = a m_ij mod q, so it lies in [0, d(q - 1)], and
     chi(-k mod q) comes from one table over that range.  The x rows go in
-    chunks of max(1, NAIVE_BUDGET // n), so the per-chunk temporaries stay
-    cache-sized for any n; the tables hold d q n entries.  Both
-    term-by-term oracles, ``ft_naive`` and ``sphere_ft_naive_grid``, are
-    this loop.
+    chunks of max(1, NAIVE_BUDGET // n), so the work arrays stay
+    cache-sized for any n; the tables hold d q n entries.  One set of work
+    arrays (the dots, one axis term, the character values) is allocated
+    per call and refilled in place for every chunk, and each chunk's
+    product is written straight into the result.  Both term-by-term
+    oracles, ``ft_naive`` and ``sphere_ft_naive_grid``, are this loop.
     """
     q, d = ctx.q, ctx.d
     m = np.asarray(m, dtype=np.int64)
     if m.ndim != 2 or m.shape[1] != d:
         raise DimensionMismatch(f"m must have shape (n, {d}), got {m.shape}")
-    weights = np.asarray(weights)
+    # cast once, not per chunk: sphere_ft_naive_grid passes real weights.
+    # An F-ordered batch (ft selftest passes draws.T) goes to BLAS as it
+    # is; a C-ordered copy of it took 0.67 MiB more and no less time.
+    weights = np.asarray(weights, dtype=np.complex128)
     out = np.zeros((ctx.size,) + weights.shape[1:], dtype=np.complex128)
-    if len(m) == 0:
+    n = len(m)
+    if n == 0:
         return out
     axis = np.arange(q, dtype=np.int64)
-    tables = [np.outer(axis, m[:, j]) % q for j in range(d)]
+    tables = [(np.outer(axis, m[:, j]) % q).astype(np.int32) for j in range(d)]
     chi_neg = ctx.chars.chi_values[-np.arange(d * (q - 1) + 1) % q]
     pts = ctx.grid_points()
-    chunk = max(1, NAIVE_BUDGET // len(m))
+    chunk = min(ctx.size, max(1, NAIVE_BUDGET // n))
+    dots = np.empty((chunk, n), dtype=np.int32)
+    term = np.empty((chunk, n), dtype=np.int32)
+    values = np.empty((chunk, n), dtype=np.complex128)
+    # mode="clip" never clips here: grid coordinates lie in [0, q), the
+    # tables are reduced mod q and the dots lie in [0, d(q - 1)].  Under
+    # mode="raise", take buffers its result before copying it into out=.
     for lo in range(0, ctx.size, chunk):
         rows = pts[lo : lo + chunk]
-        dots = tables[0][rows[:, 0]]
+        r = len(rows)
+        np.take(tables[0], rows[:, 0], axis=0, out=dots[:r], mode="clip")
         for j in range(1, d):
-            dots += tables[j][rows[:, j]]
-        out[lo : lo + chunk] = chi_neg[dots] @ weights
+            np.take(tables[j], rows[:, j], axis=0, out=term[:r], mode="clip")
+            dots[:r] += term[:r]
+        np.take(chi_neg, dots[:r], out=values[:r], mode="clip")
+        np.matmul(values[:r], weights, out=out[lo : lo + r])
     return out
 
 
@@ -140,13 +155,12 @@ def ft_naive(f: GridFunction) -> GridFunction:
 
 def _axis_transform(values: np.ndarray, ctx: FieldCtx, sign: int, scale: float) -> np.ndarray:
     """Apply the size-q kernel scale * chi(sign * m x) along each of the d axes."""
-    q = ctx.q
+    q, d = ctx.q, ctx.d
     grid = np.arange(q)
     kernel = scale * ctx.chars.chi_values[(sign * np.outer(grid, grid)) % q]
-    cube = values.reshape((q,) * ctx.d)
-    for axis in range(ctx.d):
-        cube = np.moveaxis(np.tensordot(kernel, cube, axes=(1, axis)), 0, axis)
-    return cube.ravel()
+    for i in range(d):
+        values = np.matmul(kernel, values.reshape(q**i, q, q ** (d - 1 - i)))
+    return values.ravel()
 
 
 def ft_fast(f: GridFunction) -> GridFunction:

@@ -134,6 +134,9 @@ def test_oracles_independent_of_chunk_budget(monkeypatch):
     spheres = [enumerate_sphere(ctx, j) for j in range(ctx.q)]
     m = spheres[2].points
     weights = rng.standard_normal((len(m), 3)) + 1j * rng.standard_normal((len(m), 3))
+    # a batch in F order, as ft selftest passes draws.T, and real weights
+    batch = (rng.standard_normal((4, ctx.size)) + 1j * rng.standard_normal((4, ctx.size))).T
+    real = rng.standard_normal(len(m))
 
     def line_pairs():
         out = np.full((ctx.q, ctx.size), np.nan)
@@ -147,6 +150,8 @@ def test_oracles_independent_of_chunk_budget(monkeypatch):
             + [sphere_ft_naive_grid(s) for s in spheres]
             + [sphere_ft_counted(s) for s in spheres]
             + [fourier.character_sums(ctx, m, weights)]
+            + [fourier.character_sums(ctx, ctx.grid_points(), batch)]
+            + [fourier.character_sums(ctx, m, real)]
             + [line_pairs()]
         )
 
@@ -190,6 +195,17 @@ def test_character_sums_match_explicit_loop(q, d):
         assert got.shape == (ctx.size,) + shape[1:]
         want = _explicit_character_sums(q, d, m, weights)
         assert np.abs(got - want).max() < 1e-12
+
+
+def test_character_sums_return_no_reused_buffer():
+    ctx = FieldCtx(5, 2)
+    rng = np.random.default_rng(4)
+    m = ctx.grid_points()
+    first = fourier.character_sums(ctx, m, rng.standard_normal((ctx.size, 2)))
+    kept = first.copy()
+    second = fourier.character_sums(ctx, m, rng.standard_normal((ctx.size, 2)))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and not np.allclose(first, second)
 
 
 def test_character_sums_of_no_points_are_zero():
