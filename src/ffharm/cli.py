@@ -9,6 +9,7 @@ each row seeded, so output is byte-identical for identical spec and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -42,6 +43,9 @@ from .spheres import (
 from .varieties import build_variety, zero_sphere_intersection
 
 PASS, FAIL = "PASS", "FAIL"
+_SUM_KINDS = ("gauss", "kloosterman", "salie")
+_METHODS = ("search", "exact22", "witness")
+_SIGN_MODES = ("signed", "nonneg")
 
 
 def _fmt(x: float) -> str:
@@ -96,18 +100,20 @@ def _positive_finite(text: str) -> float:
     return value
 
 
-def _odd_prime_list(text: str) -> list[int]:
-    qs = [_odd_prime(part) for part in text.split(",") if part.strip()]
-    if not qs or len(set(qs)) < len(qs):
-        raise argparse.ArgumentTypeError(f"need distinct comma-separated primes, got {text!r}")
-    return qs
+def _distinct_list(item, noun: str):
+    """An argparse type for a comma-separated list of distinct items, each read by item."""
+
+    def parse(text: str) -> list[int]:
+        values = [item(part) for part in text.split(",") if part.strip()]
+        if not values or len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"need distinct comma-separated {noun}, got {text!r}")
+        return values
+
+    return parse
 
 
-def _dimension_list(text: str) -> list[int]:
-    ds = [_dimension(part) for part in text.split(",") if part.strip()]
-    if not ds or len(set(ds)) < len(ds):
-        raise argparse.ArgumentTypeError(f"need distinct comma-separated dimensions, got {text!r}")
-    return ds
+_odd_prime_list = _distinct_list(_odd_prime, "primes")
+_dimension_list = _distinct_list(_dimension, "dimensions")
 
 
 def _vector(text: str) -> list[int]:
@@ -129,19 +135,20 @@ def _exponent(text: str):
 
 
 def cmd_sum(kind: str, q: int, a: int, b: Optional[int] = None) -> int:
+    """Print one sum and check its bound; an unknown kind, or no b for a
+    Kloosterman or Salie sum, raises ``ValueError`` before any output."""
+    if kind not in _SUM_KINDS:
+        raise ValueError(f"unknown sum kind {kind!r}")
+    if kind != "gauss" and b is None:
+        raise ValueError(f"{kind} requires --b")
     ctx = FieldCtx(q, 2)
     if kind == "gauss":
         sv = gauss(ctx, a)
         bound, bound_label = math.sqrt(q), "sqrt(q)"
         ok = abs(sv.magnitude - math.sqrt(q)) < 1e-6
         relation = "="
-    elif kind == "kloosterman":
-        sv = kloosterman(ctx, a, b or 0)
-        bound, bound_label = 2 * math.sqrt(q), "2*sqrt(q)"
-        ok = sv.magnitude <= bound + 1e-6
-        relation = "<="
     else:
-        sv = salie(ctx, a, b or 0)
+        sv = (kloosterman if kind == "kloosterman" else salie)(ctx, a, b)
         bound, bound_label = 2 * math.sqrt(q), "2*sqrt(q)"
         ok = sv.magnitude <= bound + 1e-6
         relation = "<="
@@ -263,8 +270,14 @@ def _run_variety_intersect(args) -> int:
 # restrict
 
 
-def _check_request(pair: ExponentPair, method: str, starts: Optional[int], seed: int) -> None:
-    """Reject an exponent pair, start count or seed the method cannot run."""
+def _check_request(
+    pair: ExponentPair, method: str, starts: Optional[int], seed: int, sign_mode: str
+) -> None:
+    """Reject an unknown method or sign mode, or a pair, start count or seed it cannot run."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if sign_mode not in _SIGN_MODES:
+        raise ValueError(f"unknown sign mode {sign_mode!r}")
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
     if method == "exact22" and not (pair.p == 2 and pair.r == 2):
@@ -296,7 +309,7 @@ def _report_for(v, pair, method, starts, seed, sign_mode) -> RestrictionReport:
 def _run_restrict_norm(args) -> int:
     pair = ExponentPair(args.p, args.r)
     try:
-        _check_request(pair, args.method, args.starts, args.seed)
+        _check_request(pair, args.method, args.starts, args.seed, args.sign_mode)
     except ValueError as e:
         args.parser.error(str(e))
     v = build_variety(FieldCtx(args.q, args.d), args.variety)
@@ -335,7 +348,7 @@ class ScanSpec:
                 raise ValueError(f"scan q values must be odd primes, got {q}")
         if self.d < 2:
             raise ValueError("scan needs d >= 2")
-        _check_request(self.pair, self.method, self.starts, self.seed)
+        _check_request(self.pair, self.method, self.starts, self.seed, self.sign_mode)
         self.qs = sorted(self.qs)
 
 
@@ -477,165 +490,102 @@ def _run_ft_selftest(args) -> int:
 # parser
 
 
-def _add_sum(p: argparse.ArgumentParser) -> None:
-    p.add_argument("kind", choices=("gauss", "kloosterman", "salie"))
-    p.add_argument("--q", type=_odd_prime, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, default=None)
-    p.set_defaults(func=_run_sum)
-
-
-def _add_sphere_count(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=_odd_prime, required=True)
-    p.add_argument("--d", type=_dimension, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.set_defaults(func=_run_sphere_count)
-
-
-def _add_sphere_ft(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=_odd_prime, required=True)
-    p.add_argument("--d", type=_dimension, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--x", type=_vector, required=True, help="comma-separated coordinates")
-    p.set_defaults(func=_run_sphere_ft)
-
-
-def _add_verify_lemma1(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
-    p.add_argument("--d", type=_dimension_list, required=True, help="comma-separated dimensions")
-    p.add_argument("--tol", type=_positive_finite, default=1e-6)
-    p.set_defaults(func=_run_verify_lemma1)
-
-
-def _add_variety(func):
-    """The adder of variety info or intersect, which differ only in func."""
-
-    def add(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--q", type=_odd_prime, required=True)
-        p.add_argument("--d", type=_dimension, required=True)
-        p.add_argument(
-            "--variety",
-            required=True,
-            help="paraboloid | plane | sphere:<t> | poly:<source>",
-        )
-        p.set_defaults(func=func)
-
-    return add
-
-
-def _add_restrict_options(p: argparse.ArgumentParser) -> None:
-    """The options of restrict norm and scan, except --q (one prime vs a list)."""
-    p.add_argument("--d", type=_dimension, required=True)
-    p.add_argument("--variety", required=True)
-    p.add_argument("--p", type=_exponent, required=True, help="fraction a/b or inf")
-    p.add_argument("--r", type=_exponent, required=True, help="fraction a/b or inf")
-    p.add_argument("--method", choices=("search", "exact22", "witness"), default="search")
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--sign-mode", dest="sign_mode", choices=("signed", "nonneg"), default="signed")
-
-
-def _add_restrict_norm(p: argparse.ArgumentParser) -> None:
-    _add_restrict_options(p)
-    p.add_argument("--q", type=_odd_prime, required=True)
-    p.set_defaults(func=_run_restrict_norm)
-
-
-def _add_restrict_scan(p: argparse.ArgumentParser) -> None:
-    _add_restrict_options(p)
-    p.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_run_restrict_scan)
-
-
-def _add_restrict_region(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=_dimension, required=True)
-    p.add_argument("--p", type=_exponent, required=True)
-    p.add_argument("--r", type=_exponent, required=True)
-    p.set_defaults(func=_run_restrict_region)
-
-
-def _add_ft_selftest(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=_odd_prime, required=True)
-    p.add_argument("--d", type=_dimension, required=True)
-    p.add_argument("--trials", type=_int_at_least("trials", 1), default=20)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=_run_ft_selftest)
-
-
-# command: (help, the adder of its parser, or {subcommand: adder})
-_COMMANDS = {
-    "sum": ("compute one exponential sum and check its bound", _add_sum),
-    "sphere": (
-        "sphere cardinalities and transforms",
-        {"count": _add_sphere_count, "ft": _add_sphere_ft, "verify-lemma1": _add_verify_lemma1},
-    ),
-    "variety": (
-        "build varieties and check the S_0 intersection",
-        {
-            "info": _add_variety(_run_variety_info),
-            "intersect": _add_variety(_run_variety_intersect),
-        },
-    ),
-    "restrict": (
-        "restriction norms, scans, region tests",
-        {"norm": _add_restrict_norm, "scan": _add_restrict_scan, "region": _add_restrict_region},
-    ),
-    "ft": ("Fourier engine self-test", {"selftest": _add_ft_selftest}),
-}
-
-
-def _subparsers(parser: argparse.ArgumentParser, dest: str, names, built):
-    """A required subcommand action under parser, with parsers for the names in built only.
-
-    When some are left out, its usage still lists every name, as the full
-    tree's does.
-    """
-    metavar = None if len(built) == len(names) else "{" + ",".join(names) + "}"
-    return parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-
-
-def _named_path(argv: Sequence[str]) -> list[str]:
-    """The command, and the subcommand of a group, that argv starts with; [] if no leaf."""
-    if not argv or argv[0] not in _COMMANDS:
-        return []
-    child = _COMMANDS[argv[0]][1]
-    if callable(child):
-        return [argv[0]]
-    return list(argv[:2]) if len(argv) > 1 and argv[1] in child else []
-
-
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The ffharm parser, with only the parsers on the path to the command argv names.
-
-    ``["restrict", "scan", ...]`` gets three parsers (ffharm, restrict and
-    scan), not all fifteen.  Parsing argv, its usage errors and its help then
-    read as with every parser built, which is what argv gets when it names
-    no command (``--help``, an unknown command, no command at all).
-    """
-    path = _named_path(argv)
+def build_parser() -> argparse.ArgumentParser:
+    """The ffharm parser: all 15 parsers, from ffharm down to each leaf command."""
     parser = argparse.ArgumentParser(
         prog="ffharm",
         description="Exponential sums, sphere transforms, and restriction scans over F_q^d.",
     )
-    commands = path[:1] or list(_COMMANDS)
-    sub = _subparsers(parser, "command", _COMMANDS, commands)
-    for name in commands:
-        help_text, child = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        if callable(child):
-            child(p)
-            continue
-        subcommands = path[1:] or list(child)
-        group = _subparsers(p, "subcommand", child, subcommands)
-        for subname in subcommands:
-            child[subname](group.add_parser(subname))
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_sum = sub.add_parser("sum", help="compute one exponential sum and check its bound")
+    p_sum.add_argument("kind", choices=_SUM_KINDS)
+    p_sum.add_argument("--q", type=_odd_prime, required=True)
+    p_sum.add_argument("--a", type=int, required=True)
+    p_sum.add_argument("--b", type=int, default=None)
+    p_sum.set_defaults(func=_run_sum)
+
+    p_sphere = sub.add_parser("sphere", help="sphere cardinalities and transforms")
+    sphere_sub = p_sphere.add_subparsers(dest="subcommand", required=True)
+
+    p_count = sphere_sub.add_parser("count")
+    p_count.add_argument("--q", type=_odd_prime, required=True)
+    p_count.add_argument("--d", type=_dimension, required=True)
+    p_count.add_argument("--j", type=int, required=True)
+    p_count.set_defaults(func=_run_sphere_count)
+
+    p_ft = sphere_sub.add_parser("ft")
+    p_ft.add_argument("--q", type=_odd_prime, required=True)
+    p_ft.add_argument("--d", type=_dimension, required=True)
+    p_ft.add_argument("--j", type=int, required=True)
+    p_ft.add_argument("--x", type=_vector, required=True, help="comma-separated coordinates")
+    p_ft.set_defaults(func=_run_sphere_ft)
+
+    p_vl = sphere_sub.add_parser("verify-lemma1")
+    p_vl.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
+    p_vl.add_argument("--d", type=_dimension_list, required=True, help="comma-separated dimensions")
+    p_vl.add_argument("--tol", type=_positive_finite, default=1e-6)
+    p_vl.set_defaults(func=_run_verify_lemma1)
+
+    p_var = sub.add_parser("variety", help="build varieties and check the S_0 intersection")
+    var_sub = p_var.add_subparsers(dest="subcommand", required=True)
+    for name, func in (("info", _run_variety_info), ("intersect", _run_variety_intersect)):
+        pv = var_sub.add_parser(name)
+        pv.add_argument("--q", type=_odd_prime, required=True)
+        pv.add_argument("--d", type=_dimension, required=True)
+        pv.add_argument(
+            "--variety",
+            required=True,
+            help="paraboloid | plane | sphere:<t> | poly:<source>",
+        )
+        pv.set_defaults(func=func)
+
+    p_res = sub.add_parser("restrict", help="restriction norms, scans, region tests")
+    res_sub = p_res.add_subparsers(dest="subcommand", required=True)
+
+    # norm and scan share every option but --q (one prime vs a list) and scan's --out
+    for name, q_type, q_help, func in (
+        ("norm", _odd_prime, None, _run_restrict_norm),
+        ("scan", _odd_prime_list, "comma-separated primes", _run_restrict_scan),
+    ):
+        pr = res_sub.add_parser(name)
+        pr.add_argument("--d", type=_dimension, required=True)
+        pr.add_argument("--variety", required=True)
+        pr.add_argument("--p", type=_exponent, required=True, help="fraction a/b or inf")
+        pr.add_argument("--r", type=_exponent, required=True, help="fraction a/b or inf")
+        pr.add_argument("--method", choices=_METHODS, default="search")
+        pr.add_argument("--starts", type=int, default=None)
+        pr.add_argument("--seed", type=_seed, default=0)
+        pr.add_argument("--sign-mode", dest="sign_mode", choices=_SIGN_MODES, default="signed")
+        pr.add_argument("--q", type=q_type, required=True, help=q_help)
+        if name == "scan":
+            pr.add_argument("--out", required=True)
+        pr.set_defaults(func=func)
+
+    p_region = res_sub.add_parser("region")
+    p_region.add_argument("--d", type=_dimension, required=True)
+    p_region.add_argument("--p", type=_exponent, required=True)
+    p_region.add_argument("--r", type=_exponent, required=True)
+    p_region.set_defaults(func=_run_restrict_region)
+
+    p_ftm = sub.add_parser("ft", help="Fourier engine self-test")
+    ft_sub = p_ftm.add_subparsers(dest="subcommand", required=True)
+    p_self = ft_sub.add_parser("selftest")
+    p_self.add_argument("--q", type=_odd_prime, required=True)
+    p_self.add_argument("--d", type=_dimension, required=True)
+    p_self.add_argument("--trials", type=_int_at_least("trials", 1), default=20)
+    p_self.add_argument("--seed", type=_seed, default=0)
+    p_self.set_defaults(func=_run_ft_selftest)
+
     return parser
 
 
+# built by the first main call and kept: a build costs about 15 parses
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
+    parser = _parser()
     args = parser.parse_args(argv)
     args.parser = parser
     try:

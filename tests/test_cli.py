@@ -1,8 +1,12 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 from unittest import mock
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +144,9 @@ def test_verify_lemma1_empty_or_repeated_list_exits_2(q, d, flag, capsys):
         main(["sphere", "verify-lemma1", "--q", q, "--d", d])
     assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and flag in captured.err
+    noun, value = ("primes", q) if flag == "--q" else ("dimensions", d)
+    assert captured.out == ""
+    assert f"argument {flag}: need distinct comma-separated {noun}, got {value!r}\n" in captured.err
 
 
 @pytest.mark.parametrize("bad", _EMPTY_OR_REPEATED)
@@ -385,23 +391,35 @@ def test_scan_spec_rejects_bad_q():
         )
 
 
-def test_scan_spec_rejects_negative_seed(tmp_path):
-    out = tmp_path / "neg.csv"
-    with pytest.raises(ValueError, match="seed"):
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("seed", -1, "seed"), ("method", "bogus", "unknown method"), ("sign_mode", "bogus", "sign mode")],
+    ids=["seed", "method", "sign_mode"],
+)
+def test_scan_spec_rejects_a_bad_request(tmp_path, field, value, message):
+    out = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=message):
         ScanSpec(
             variety="paraboloid",
             d=3,
             qs=[3, 5],
             pair=ExponentPair(Fraction(3, 2), Fraction(2)),
-            seed=-1,
             out=str(out),
+            **{field: value},
         )
     assert not out.exists()
 
 
-def test_cmd_sum_direct():
+def test_cmd_sum_direct(capsys):
     assert cmd_sum("gauss", 7, 3) == 0
     assert cmd_sum("salie", 7, 2, 5) == 0
+    capsys.readouterr()
+    with pytest.raises(ValueError, match="unknown sum kind 'bogus'"):
+        cmd_sum("bogus", 7, 1, 2)
+    for kind in ("kloosterman", "salie"):
+        with pytest.raises(ValueError, match=f"^{kind} requires --b$"):
+            cmd_sum(kind, 7, 1)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -499,14 +517,12 @@ def test_refused_over_the_byte_budget_exits_2(capsys):
 
 
 # ---------------------------------------------------------------------------
-# build_parser(argv) builds only the parsers on the path argv names
+# main parses every line on one parser tree, built by its first call
 
 
 def _split(*lines):
     return [line.split() for line in lines]
 
-
-_SCAN_D4 = "restrict scan --variety paraboloid --d 4 --q 41,47,53,61 --p 2 --r 2 --method exact22"
 
 # every leaf command line of these tests, the CI workflow, the demos (none)
 # and the benchmark workloads
@@ -533,7 +549,8 @@ _LEAF_LINES = _split(
     " --seed 0 --out search_d3.csv",
     "restrict scan --variety paraboloid --d 4 --q 11,31 --p 8/5 --r 2 --method search --seed 1"
     " --out search_d4.csv",
-    _SCAN_D4 + " --seed 0 --out exact_d4_paraboloid.csv",
+    "restrict scan --variety paraboloid --d 4 --q 41,47,53,61 --p 2 --r 2 --method exact22"
+    " --seed 0 --out exact_d4_paraboloid.csv",
     "restrict scan --variety poly:x1^2+x2^2-x3*x4 --d 4 --q 41,47,53,61 --p 2 --r 2"
     " --method exact22 --seed 3 --out exact_d4_null_cone.csv",
     "restrict scan --method exact22 --variety paraboloid --d 3 --q 1009 --p 2 --r 2 --out x.csv",
@@ -545,47 +562,36 @@ _LEAF_LINES = _split(
 )
 
 
-@pytest.mark.parametrize("argv", _LEAF_LINES, ids=" ".join)
-def test_pruned_parser_parses_like_the_full_tree(argv):
-    assert vars(build_parser(argv).parse_args(argv)) == vars(build_parser().parse_args(argv))
+def test_main_builds_one_tree_and_reuses_it(capsys):
+    ffharm.cli._parser.cache_clear()
+    assert main(["sum", "gauss", "--q", "5", "--a", "1"]) == 0
+    assert main(["restrict", "region", "--d", "3", "--p", "3/2", "--r", "2"]) == 0
+    info = ffharm.cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # in order, so a line that leaves out an option (--b after --b 1, --seed
+    # after --seed 2 or --seed 3) must get its default on the reused tree
+    parser = ffharm.cli._parser()
+    for argv in _LEAF_LINES:
+        assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
-def test_pruned_parser_holds_only_the_named_path(capsys):
-    scan = build_parser(_SCAN_D4.split())
-    with pytest.raises(SystemExit):
-        scan.parse_args(["sum", "gauss", "--q", "5", "--a", "1"])
-    assert "invalid choice: 'sum'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    _split(
-        "--help",
-        "restrict --help",
-        "restrict scan --help",
-        "bogus",  # an unknown command
-        _SCAN_D4,  # no --out
-        _SCAN_D4 + " --out x.csv --d 1",
-        # reported by the top-level parser, whose usage names every command
-        _SCAN_D4 + " --out x.csv --p 3/2",
-        _SCAN_D4 + " --out x.csv --bogus 1",
-    ),
-    ids=" ".join,
-)
-def test_pruned_parser_prints_like_the_full_tree(monkeypatch, capsys, argv):
-    def run():
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        return info.value.code, capsys.readouterr()
-
-    pruned = run()
-    full_tree = ffharm.cli.build_parser
-    monkeypatch.setattr(ffharm.cli, "build_parser", lambda argv: full_tree())
-    assert run() == pruned
+def test_import_builds_no_parser():
+    # a fresh interpreter, where ArgumentParser fails if anything builds one
+    code = (
+        "import argparse\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('parser built on import')\n"
+        "argparse.ArgumentParser.__init__ = refuse\n"
+        "import ffharm.cli\n"
+        "assert ffharm.cli._parser.cache_info().currsize == 0\n"
+    )
+    src = str(Path(ffharm.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 # the order of each leaf's arguments and the commands' help texts, which
-# the pruned and full trees share, so the tests above cannot see them
+# the tests above cannot see
 _USAGE = {
     "sum": "[-h] --q Q --a A [--b B] {gauss,kloosterman,salie}",
     "sphere count": "[-h] --q Q --d D --j J",
