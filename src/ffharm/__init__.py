@@ -21,8 +21,8 @@ from .errors import (
     ZeroInverse,
     ZeroParameter,
 )
-from .field import CharacterTable, FieldCtx, chi, eta, inv, is_odd_prime, norm_form
-from .expsums import SumValue, gauss, kloosterman, salie
+from .field import FieldCtx, chi, eta, inv, is_odd_prime, norm_form
+from .expsums import gauss, kloosterman, salie
 from .spheres import (
     Sphere,
     enumerate_sphere,
@@ -49,7 +49,6 @@ from .varieties import (
 )
 from .restriction import (
     ExponentPair,
-    RadialProfile,
     RestrictionReport,
     SearchConfig,
     compare_sign_modes,

@@ -143,27 +143,28 @@ def cmd_sum(kind: str, q: int, a: int, b: Optional[int] = None) -> int:
         raise ValueError(f"{kind} requires --b")
     ctx = FieldCtx(q, 2)
     if kind == "gauss":
-        sv = gauss(ctx, a)
+        value = gauss(ctx, a)
         bound, bound_label = math.sqrt(q), "sqrt(q)"
-        ok = abs(sv.magnitude - math.sqrt(q)) < 1e-6
+        ok = abs(abs(value) - math.sqrt(q)) < 1e-6
         relation = "="
     else:
-        sv = (kloosterman if kind == "kloosterman" else salie)(ctx, a, b)
+        value = (kloosterman if kind == "kloosterman" else salie)(ctx, a, b)
         bound, bound_label = 2 * math.sqrt(q), "2*sqrt(q)"
-        ok = sv.magnitude <= bound + 1e-6
+        ok = abs(value) <= bound + 1e-6
         relation = "<="
     verdict = PASS if ok else FAIL
     print(
-        f"{_fmt_complex(sv.value)}  |{sv.kind[0]}|={sv.magnitude:.6f} "
+        f"{_fmt_complex(value)}  |{kind[0].upper()}|={abs(value):.6f} "
         f"{relation} {bound_label}={bound:.6f}  {verdict}"
     )
     return 0 if ok else 1
 
 
 def _run_sum(args) -> int:
-    if args.kind in ("kloosterman", "salie") and args.b is None:
-        args.parser.error(f"{args.kind} requires --b")
-    return cmd_sum(args.kind, args.q, args.a, args.b)
+    try:
+        return cmd_sum(args.kind, args.q, args.a, args.b)
+    except ValueError as e:
+        args.parser.error(str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +299,10 @@ def _report_for(v, pair, method, starts, seed, sign_mode) -> RestrictionReport:
         return RestrictionReport(
             v.label, v.ctx.q, v.ctx.d, pair, "Exact22", sigma, 0, seed
         )
-    if method == "witness":
-        value = witness_lower_bound(v, pair)
-        return RestrictionReport(
-            v.label, v.ctx.q, v.ctx.d, pair, "Witness", value, 0, seed
-        )
-    raise ValueError(f"unknown method {method!r}")
+    value = witness_lower_bound(v, pair)  # _check_request admits no other method
+    return RestrictionReport(
+        v.label, v.ctx.q, v.ctx.d, pair, "Witness", value, 0, seed
+    )
 
 
 def _run_restrict_norm(args) -> int:
@@ -425,7 +424,11 @@ def _run_restrict_scan(args) -> int:
         )
     except ValueError as e:
         args.parser.error(str(e))
-    return cmd_restrict_scan(spec)
+    try:
+        return cmd_restrict_scan(spec)
+    except OSError as e:  # --out cannot be written, e.g. its directory is missing
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def _run_restrict_region(args) -> int:

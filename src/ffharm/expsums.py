@@ -9,28 +9,13 @@ closed-form shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ZeroParameter
 from .field import FieldCtx
 
 
-@dataclass(frozen=True)
-class SumValue:
-    """One computed exponential sum: value, family, and its parameters."""
-
-    value: complex
-    kind: str  # "Gauss" | "Kloosterman" | "Salie"
-    params: tuple[int, ...]
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-
-def gauss(ctx: FieldCtx, a: int) -> SumValue:
+def gauss(ctx: FieldCtx, a: int) -> complex:
     """Quadratic Gauss sum: sum over s != 0 of eta(s) chi(a s).
 
     Rejects a = 0: the sum would collapse to sum of eta(s) = 0 and none of
@@ -41,31 +26,26 @@ def gauss(ctx: FieldCtx, a: int) -> SumValue:
     if a == 0:
         raise ZeroParameter("Gauss sum requires a != 0")
     s = np.arange(1, q)
-    value = (ctx.chars.eta_values[s] * ctx.chars.chi_values[(a * s) % q]).sum()
-    return SumValue(complex(value), "Gauss", (a,))
+    return complex((ctx.eta_values[s] * ctx.chi_values[(a * s) % q]).sum())
 
 
-def kloosterman(ctx: FieldCtx, a: int, b: int) -> SumValue:
+def _kloosterman_terms(ctx: FieldCtx, a: int, b: int) -> np.ndarray:
+    """chi(a s + b s^{-1}) for s = 1, ..., q - 1."""
+    q = ctx.q
+    a, b = a % q, b % q
+    s = np.arange(1, q)
+    return ctx.chi_values[(a * s + b * ctx.inv_table[1:]) % q]
+
+
+def kloosterman(ctx: FieldCtx, a: int, b: int) -> complex:
     """Kloosterman sum: sum over s != 0 of chi(a s + b s^{-1}).
 
     Always real for this character choice (s -> -s pairs each term with its
     conjugate); the imaginary part is float noise.
     """
-    q = ctx.q
-    a, b = a % q, b % q
-    s = np.arange(1, q)
-    sinv = ctx.inv_table[1:]
-    value = ctx.chars.chi_values[(a * s + b * sinv) % q].sum()
-    return SumValue(complex(value), "Kloosterman", (a, b))
+    return complex(_kloosterman_terms(ctx, a, b).sum())
 
 
-def salie(ctx: FieldCtx, a: int, b: int) -> SumValue:
+def salie(ctx: FieldCtx, a: int, b: int) -> complex:
     """Salie sum: the eta-twisted Kloosterman sum over s != 0."""
-    q = ctx.q
-    a, b = a % q, b % q
-    s = np.arange(1, q)
-    sinv = ctx.inv_table[1:]
-    value = (
-        ctx.chars.eta_values[s] * ctx.chars.chi_values[(a * s + b * sinv) % q]
-    ).sum()
-    return SumValue(complex(value), "Salie", (a, b))
+    return complex((ctx.eta_values[1:] * _kloosterman_terms(ctx, a, b)).sum())

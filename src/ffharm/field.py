@@ -31,35 +31,14 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-class CharacterTable:
-    """Value tables for the additive character chi and quadratic character eta.
-
-    ``chi_values[a] = exp(2*pi*i*a/q)`` and ``eta_values[a]`` is +1 on nonzero
-    squares, -1 on nonsquares, and 0 at a = 0.  Both arrays are read-only.
-    """
-
-    def __init__(self, q: int, square_set: frozenset[int]):
-        self.q = q
-        self.chi_values = np.exp(2j * np.pi * np.arange(q) / q)
-        eta = -np.ones(q, dtype=np.int64)
-        eta[0] = 0
-        eta[list(square_set)] = 1
-        self.eta_values = eta
-        self.chi_values.setflags(write=False)
-        self.eta_values.setflags(write=False)
-
-    def chi(self, a: int) -> complex:
-        return complex(self.chi_values[a % self.q])
-
-    def eta(self, a: int) -> int:
-        return int(self.eta_values[a % self.q])
-
-
 class FieldCtx:
     """Arithmetic context for F_q^d with q an odd prime and d >= 2.
 
-    Immutable after construction; lazy grid caches are private memos and do
-    not change observable state.
+    ``chi_values[a] = exp(2*pi*i*a/q)`` is the additive character and
+    ``eta_values[a]`` the quadratic one: +1 on nonzero squares, -1 on
+    nonsquares, 0 at a = 0.  Immutable after construction (the tables are
+    read-only arrays); lazy grid caches are private memos and do not change
+    observable state.
     """
 
     def __init__(self, q: int, d: int):
@@ -73,8 +52,13 @@ class FieldCtx:
         inv[1:] = [pow(a, q - 2, q) for a in range(1, q)]
         inv.setflags(write=False)
         self.inv_table = inv
-        self.square_set = frozenset((a * a) % q for a in range(1, q))
-        self.chars = CharacterTable(q, self.square_set)
+        eta = -np.ones(q, dtype=np.int64)
+        eta[0] = 0
+        eta[np.arange(1, q, dtype=np.int64) ** 2 % q] = 1
+        eta.setflags(write=False)
+        self.eta_values = eta
+        self.chi_values = np.exp(2j * np.pi * np.arange(q) / q)
+        self.chi_values.setflags(write=False)
         self._norms: np.ndarray | None = None
         self._points: np.ndarray | None = None
 
@@ -170,12 +154,12 @@ def inv(ctx: FieldCtx, a: int) -> int:
 
 def eta(ctx: FieldCtx, a: int) -> int:
     """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0."""
-    return ctx.chars.eta(a)
+    return int(ctx.eta_values[a % ctx.q])
 
 
 def chi(ctx: FieldCtx, a: int) -> complex:
     """Additive character exp(2*pi*i*a/q)."""
-    return ctx.chars.chi(a)
+    return complex(ctx.chi_values[a % ctx.q])
 
 
 def norm_form(ctx: FieldCtx, m: Sequence[int]) -> int:

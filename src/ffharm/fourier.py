@@ -121,7 +121,7 @@ def character_sums(ctx: FieldCtx, m: np.ndarray, weights: np.ndarray) -> np.ndar
         return out
     axis = np.arange(q, dtype=np.int64)
     tables = [(np.outer(axis, m[:, j]) % q).astype(np.int32) for j in range(d)]
-    chi_neg = ctx.chars.chi_values[-np.arange(d * (q - 1) + 1) % q]
+    chi_neg = ctx.chi_values[-np.arange(d * (q - 1) + 1) % q]
     pts = ctx.grid_points()
     chunk = min(ctx.size, max(1, NAIVE_BUDGET // n))
     dots = np.empty((chunk, n), dtype=np.int32)
@@ -157,7 +157,7 @@ def _axis_transform(values: np.ndarray, ctx: FieldCtx, sign: int, scale: float) 
     """Apply the size-q kernel scale * chi(sign * m x) along each of the d axes."""
     q, d = ctx.q, ctx.d
     grid = np.arange(q)
-    kernel = scale * ctx.chars.chi_values[(sign * np.outer(grid, grid)) % q]
+    kernel = scale * ctx.chi_values[(sign * np.outer(grid, grid)) % q]
     for i in range(d):
         values = np.matmul(kernel, values.reshape(q**i, q, q ** (d - 1 - i)))
     return values.ravel()

@@ -106,30 +106,6 @@ class ExponentPair:
 
 
 @dataclass
-class RadialProfile:
-    """Coefficient vector (M_j)_{j in F_q} of a radial function."""
-
-    ctx: FieldCtx
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != (self.ctx.q,):
-            raise ValueError(f"profile needs {self.ctx.q} coefficients")
-        self.coeffs = coeffs
-
-    @classmethod
-    def delta(cls, ctx: FieldCtx, j: int) -> "RadialProfile":
-        c = np.zeros(ctx.q, dtype=np.complex128)
-        c[j % ctx.q] = 1.0
-        return cls(ctx, c)
-
-    @classmethod
-    def constant(cls, ctx: FieldCtx, value: complex = 1.0) -> "RadialProfile":
-        return cls(ctx, np.full(ctx.q, value, dtype=np.complex128))
-
-
-@dataclass
 class RestrictionReport:
     """Outcome of one norm computation or search."""
 
@@ -151,10 +127,17 @@ class RestrictionReport:
 # Norms and lifting
 
 
-def lift_radial(profile: RadialProfile) -> GridFunction:
+def _profile(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
+    """M as a complex array of one coefficient per radius; any other length raises."""
+    M = np.asarray(M, dtype=np.complex128)
+    if M.shape != (ctx.q,):
+        raise ValueError(f"profile needs {ctx.q} coefficients")
+    return M
+
+
+def lift_radial(ctx: FieldCtx, M: np.ndarray) -> GridFunction:
     """The grid function taking value M_j on every point of radius j."""
-    ctx = profile.ctx
-    return GridFunction(ctx, profile.coeffs[ctx.grid_norms()], Side.PrimalCounting)
+    return GridFunction(ctx, _profile(ctx, M)[ctx.grid_norms()], Side.PrimalCounting)
 
 
 def _weighted_norm(
@@ -188,9 +171,9 @@ def lr_norm_sigma(g: np.ndarray, v: Variety, r: Exponent) -> float:
     return float(_weighted_norm(g, np.ones(v.cardinality) / v.cardinality, r))
 
 
-def profile_lp_norm(profile: RadialProfile, p: Exponent) -> float:
-    """Same as lp_norm_counting(lift_radial(profile), p), without the lift."""
-    return float(_weighted_norm(profile.coeffs, sphere_sizes(profile.ctx), p))
+def profile_lp_norm(ctx: FieldCtx, M: np.ndarray, p: Exponent) -> float:
+    """Same as lp_norm_counting(lift_radial(ctx, M), p), without the lift."""
+    return float(_weighted_norm(_profile(ctx, M), sphere_sizes(ctx), p))
 
 
 def radial_matrix(v: Variety) -> np.ndarray:
@@ -484,8 +467,12 @@ Point = tuple[Fraction, Fraction]
 
 
 def _as_point(point) -> Point:
+    """The point as exact fractions; a point outside [0,1]^2 raises."""
     x, y = point
-    return (Fraction(x), Fraction(y))
+    x, y = Fraction(x), Fraction(y)
+    if not (0 <= x <= 1 and 0 <= y <= 1):
+        raise ValueError("point must lie in [0,1]^2")
+    return (x, y)
 
 
 def _hull_contains(vertices: list[Point], point: Point) -> bool:
@@ -510,8 +497,6 @@ def region_conjecture(d: int, point) -> bool:
     if d < 2:
         raise UnsupportedDimension("need d >= 2")
     pt = _as_point(point)
-    if not (0 <= pt[0] <= 1 and 0 <= pt[1] <= 1):
-        raise ValueError("point must lie in [0,1]^2")
     u = Fraction(d + 1, 2 * d)
     vertices = [
         (Fraction(1), Fraction(0)),
@@ -557,7 +542,7 @@ def suf2_check(d: int, pair: ExponentPair) -> tuple[Fraction, bool]:
 
 def suf1_diagnostic(
     v: Variety,
-    profile: RadialProfile,
+    M: np.ndarray,
     r: Exponent,
     normalize_p: Optional[Exponent] = None,
 ) -> tuple[float, float, float]:
@@ -576,9 +561,9 @@ def suf1_diagnostic(
     if r == math.inf:
         raise ValueError("diagnostic needs finite r")
     ctx = v.ctx
-    M = profile.coeffs
+    M = _profile(ctx, M)
     if normalize_p is not None:
-        n = profile_lp_norm(profile, normalize_p)
+        n = profile_lp_norm(ctx, M, normalize_p)
         if n > 0:
             M = M / n
     rows = _class_rows(v, r)[int(v.contains_zero):]

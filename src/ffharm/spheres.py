@@ -26,7 +26,7 @@ import numpy as np
 
 from . import expsums, fourier
 from .errors import DimensionMismatch, RoundingMismatch
-from .field import FieldCtx, inv, norm_form
+from .field import FieldCtx, eta, inv, norm_form
 
 
 class Sphere:
@@ -75,12 +75,12 @@ def sphere_sizes(ctx: FieldCtx) -> np.ndarray:
     q, d = ctx.q, ctx.d
     half = d // 2
     if d % 2 == 0:
-        twist = ctx.chars.eta((-1) ** half) * q ** (half - 1)
+        twist = eta(ctx, (-1) ** half) * q ** (half - 1)
         sizes = np.full(q, q ** (d - 1) - twist, dtype=np.int64)
         sizes[0] += twist * q
     else:
         j = np.arange(q, dtype=np.int64)
-        sizes = q ** (d - 1) + q**half * ctx.chars.eta_values[(-1) ** half * j % q]
+        sizes = q ** (d - 1) + q**half * ctx.eta_values[(-1) ** half * j % q]
     return sizes
 
 
@@ -94,7 +94,7 @@ def sphere_ft_naive(sphere: Sphere, x: Sequence[int]) -> complex:
         raise DimensionMismatch(f"expected {ctx.d} coordinates, got {len(x)}")
     xv = np.asarray([int(c) % ctx.q for c in x], dtype=np.int64)
     dots = (sphere.points @ xv) % ctx.q
-    return complex(ctx.chars.chi_values[(-dots) % ctx.q].sum())
+    return complex(ctx.chi_values[(-dots) % ctx.q].sum())
 
 
 def sphere_ft_naive_grid(sphere: Sphere) -> np.ndarray:
@@ -151,7 +151,7 @@ def sphere_ft_counted(sphere: Sphere) -> np.ndarray:
     out[0] = sphere.cardinality
     reps, line_flat = _lines(ctx)
     span = d * (q - 1) + 1  # dots lie in [0, span)
-    chi_line = ctx.chars.chi_values[-np.outer(np.arange(span), np.arange(1, q)) % q]
+    chi_line = ctx.chi_values[-np.outer(np.arange(span), np.arange(1, q)) % q]
     axis = np.arange(q, dtype=np.int64)
     tables = [(np.outer(axis, m[:, i]) % q).astype(np.int32) for i in range(d)]
     chunk = max(1, fourier.NAIVE_BUDGET // len(m))  # S_j is never empty for d >= 2
@@ -177,7 +177,7 @@ def _pair_class(ctx: FieldCtx, n, t) -> np.ndarray:
     q = ctx.q
     n, t = np.asarray(n) % q, np.asarray(t) % q
     u = t * t % q * ctx.inv_table[n] % q
-    by_eta = q + (3 - ctx.chars.eta_values[n]) // 2
+    by_eta = q + (3 - ctx.eta_values[n]) // 2
     return np.where(n == 0, np.where(t == 0, 0, q), np.where(t == 0, by_eta, u))
 
 
@@ -190,12 +190,12 @@ def _class_table(ctx: FieldCtx) -> np.ndarray:
     mu and -mu both solve mu^2 n = j.
     """
     q = ctx.q
-    nonsquare = int(np.argmax(ctx.chars.eta_values < 0))
+    nonsquare = int(np.argmax(ctx.eta_values < 0))
     n = np.concatenate([[0], ctx.inv_table[1:], [0, 1, nonsquare]])
     t = np.concatenate([[0], np.ones(q - 1, dtype=np.int64), [1, 0, 0]])
     mu = np.arange(1, q)
     table = np.zeros((q + 3, q))
-    cosines = ctx.chars.chi_values.real[np.outer(t, mu) % q]
+    cosines = ctx.chi_values.real[np.outer(t, mu) % q]
     np.add.at(table, (np.arange(q + 3)[:, None], np.outer(n, mu * mu) % q), cosines)
     return table
 
@@ -252,13 +252,13 @@ def _line_pair_chunks(ctx: FieldCtx) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def _closed_tail(ctx: FieldCtx, j: int, t: int) -> complex:
     """The non-delta part of the closed form, as a function of t = ||x||."""
     q = ctx.q
-    G = expsums.gauss(ctx, 1).value
+    G = expsums.gauss(ctx, 1)
     a = (-j) % q
     b = (-inv(ctx, 4 % q) * t) % q
     if ctx.d % 2 == 0:
-        tw = expsums.kloosterman(ctx, a, b).value
+        tw = expsums.kloosterman(ctx, a, b)
     else:
-        tw = expsums.salie(ctx, a, b).value
+        tw = expsums.salie(ctx, a, b)
     return (G**ctx.d) * tw / q
 
 
@@ -288,12 +288,12 @@ def sphere_ft_kernel(ctx: FieldCtx) -> np.ndarray:
     """
     q = ctx.q
     s = np.arange(1, q)
-    chi = ctx.chars.chi_values
-    scaled = expsums.gauss(ctx, 1).value ** ctx.d / q * chi
+    chi = ctx.chi_values
+    scaled = expsums.gauss(ctx, 1) ** ctx.d / q * chi
     j_index = (-np.outer(np.arange(q), s)) % q
     j_part = np.hstack([scaled.real[j_index], -scaled.imag[j_index]])
     if ctx.d % 2 == 1:
-        j_part *= np.tile(ctx.chars.eta_values[s], 2)
+        j_part *= np.tile(ctx.eta_values[s], 2)
     quarter = (-inv(ctx, 4 % q) * ctx.inv_table[1:]) % q
     t_index = np.outer(quarter, np.arange(q)) % q
     return j_part @ np.vstack([chi.real[t_index], chi.imag[t_index]])

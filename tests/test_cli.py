@@ -21,7 +21,6 @@ from ffharm import (
     GridFunction,
     SearchConfig,
     Side,
-    SumValue,
     TooLarge,
     Variety,
     build_variety,
@@ -60,10 +59,30 @@ def test_sum_rejects_composite_q():
     assert info.value.code == 2
 
 
-def test_sum_requires_b_for_kloosterman():
+def test_sum_requires_b_for_kloosterman(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sum", "kloosterman", "--q", "3", "--a", "1"])
     assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("ffharm: error: kloosterman requires --b\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["gauss", "--a", "3"], "-0.000000-2.645751i  |G|=2.645751 = sqrt(q)=2.645751  PASS"),
+        (
+            ["kloosterman", "--a", "1", "--b", "2"],
+            "-2.356896+0.000000i  |K|=2.356896 <= 2*sqrt(q)=5.291503  PASS",
+        ),
+        (
+            ["salie", "--a", "1", "--b", "2"],
+            "+0.000000+3.299198i  |S|=3.299198 <= 2*sqrt(q)=5.291503  PASS",
+        ),
+    ],
+)
+def test_sum_prints_one_whole_line(argv, line, capsys):
+    assert main(["sum", *argv, "--q", "7"]) == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_sphere_count_and_ft(capsys):
@@ -84,8 +103,7 @@ def test_verify_lemma1_catches_tampered_gauss(monkeypatch, capsys):
     original = ffharm.expsums.gauss
 
     def negated(ctx, a):
-        sv = original(ctx, a)
-        return SumValue(-sv.value, sv.kind, sv.params)
+        return -original(ctx, a)
 
     monkeypatch.setattr(ffharm.expsums, "gauss", negated)
     assert cmd_verify_lemma1([3], [3]) == 1
@@ -408,6 +426,21 @@ def test_scan_spec_rejects_a_bad_request(tmp_path, field, value, message):
             **{field: value},
         )
     assert not out.exists()
+
+
+def test_restrict_scan_out_in_a_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row ran before the CSV was opened")
+
+    monkeypatch.setattr(ffharm.cli, "_scan_row", no_row)
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["restrict", "scan", "--variety", "paraboloid", "--d", "3", "--q", "5,7"]
+    assert main([*argv, "--p", "2", "--r", "2", "--method", "exact22", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_cmd_sum_direct(capsys):

@@ -50,11 +50,11 @@ def test_eta_examples():
 @pytest.mark.parametrize("q", ODD_PRIMES_TO_101)
 def test_eta_partitions_units(q):
     ctx = FieldCtx(q, 2)
-    vals = ctx.chars.eta_values
+    vals = ctx.eta_values
     assert (vals == 1).sum() == (q - 1) // 2
     assert (vals == -1).sum() == (q - 1) // 2
     assert vals[0] == 0
-    assert len(ctx.square_set) == (q - 1) // 2
+    assert set(np.flatnonzero(vals == 1)) == {a * a % q for a in range(1, q)}
     # multiplicativity on units
     a = np.arange(1, q)
     prod = (a[:, None] * a[None, :]) % q
@@ -65,7 +65,7 @@ def test_eta_partitions_units(q):
 @pytest.mark.parametrize("q", ODD_PRIMES_TO_101)
 def test_chi_multiplicative_and_orthogonal(q):
     ctx = FieldCtx(q, 2)
-    chi = ctx.chars.chi_values
+    chi = ctx.chi_values
     assert np.abs(np.abs(chi) - 1).max() < 1e-12
     a = np.arange(q)
     lhs = chi[:, None] * chi[None, :]
@@ -111,7 +111,9 @@ def test_tables_are_immutable():
     with pytest.raises(ValueError):
         ctx.inv_table[1] = 0
     with pytest.raises(ValueError):
-        ctx.chars.chi_values[0] = 0
+        ctx.eta_values[1] = 0
+    with pytest.raises(ValueError):
+        ctx.chi_values[0] = 0
 
 
 def _convolve_by_definition(a, b):

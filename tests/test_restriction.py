@@ -12,7 +12,6 @@ from ffharm import (
     EmptyVariety,
     ExponentPair,
     FieldCtx,
-    RadialProfile,
     SearchConfig,
     UnsupportedDimension,
     build_variety,
@@ -75,7 +74,7 @@ def test_exponent_pair_rejects_bad_values():
 
 def test_lift_radial_delta_is_sphere_indicator():
     ctx = FieldCtx(3, 2)
-    f = lift_radial(RadialProfile.delta(ctx, 1))
+    f = lift_radial(ctx, np.eye(3)[1])
     sphere = enumerate_sphere(ctx, 1)
     assert int((f.values != 0).sum()) == 4
     assert np.array_equal(np.nonzero(f.values)[0], sphere.flat)
@@ -83,15 +82,15 @@ def test_lift_radial_delta_is_sphere_indicator():
 
 def test_lift_radial_constant_and_zero():
     ctx = FieldCtx(5, 2)
-    assert (lift_radial(RadialProfile.constant(ctx, 1.0)).values == 1).all()
-    assert (lift_radial(RadialProfile(ctx, np.zeros(5))).values == 0).all()
+    assert (lift_radial(ctx, np.ones(5)).values == 1).all()
+    assert (lift_radial(ctx, np.zeros(5)).values == 0).all()
 
 
 def test_lp_norm_examples():
     ctx = FieldCtx(3, 2)
-    f = lift_radial(RadialProfile.delta(ctx, 1))
+    f = lift_radial(ctx, np.eye(3)[1])
     assert abs(lp_norm_counting(f, F(2)) - 2.0) < 1e-12
-    ones = lift_radial(RadialProfile.constant(ctx, 1.0))
+    ones = lift_radial(ctx, np.ones(3))
     assert abs(lp_norm_counting(ones, F(1)) - ctx.size) < 1e-12
     assert abs(lp_norm_counting(ones, math.inf) - 1.0) < 1e-12
 
@@ -99,15 +98,28 @@ def test_lp_norm_examples():
 def test_profile_norm_matches_lift_norm():
     ctx = FieldCtx(5, 3)
     rng = np.random.default_rng(0)
-    prof = RadialProfile(ctx, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    M = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     for p in (F(1), F(3, 2), F(2), F(7, 3), math.inf):
         assert abs(
-            profile_lp_norm(prof, p) - lp_norm_counting(lift_radial(prof), p)
-        ) < 1e-9 * max(1.0, profile_lp_norm(prof, p))
+            profile_lp_norm(ctx, M, p) - lp_norm_counting(lift_radial(ctx, M), p)
+        ) < 1e-9 * max(1.0, profile_lp_norm(ctx, M, p))
     # a profile scaled to the unit weighted-p ball lifts to a unit-norm function
     p = F(3, 2)
-    unit = RadialProfile(ctx, prof.coeffs / profile_lp_norm(prof, p))
-    assert abs(lp_norm_counting(lift_radial(unit), p) - 1.0) < 1e-12
+    unit = M / profile_lp_norm(ctx, M, p)
+    assert abs(lp_norm_counting(lift_radial(ctx, unit), p) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_profile_of_wrong_length_raises(length):
+    ctx = FieldCtx(5, 3)
+    v = build_variety(ctx, "paraboloid")
+    M = np.ones(length)
+    with pytest.raises(ValueError, match="profile needs 5 coefficients"):
+        lift_radial(ctx, M)
+    with pytest.raises(ValueError, match="profile needs 5 coefficients"):
+        profile_lp_norm(ctx, M, F(2))
+    with pytest.raises(ValueError, match="profile needs 5 coefficients"):
+        suf1_diagnostic(v, M, F(2))
 
 
 def test_lr_norm_sigma_examples():
@@ -219,9 +231,9 @@ def test_restriction_of_lift_equals_matrix_product():
     ctx = FieldCtx(5, 2)
     v = build_variety(ctx, "paraboloid")
     rng = np.random.default_rng(3)
-    prof = RadialProfile(ctx, rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    full = ft_fast(lift_radial(prof)).values[v.flat]
-    via_matrix = radial_matrix(v) @ prof.coeffs
+    M = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    full = ft_fast(lift_radial(ctx, M)).values[v.flat]
+    via_matrix = radial_matrix(v) @ M
     assert np.abs(full - via_matrix).max() < 1e-9
 
 
@@ -268,9 +280,8 @@ def test_search_dominates_witness_bound(case, p, r, seed):
 
 def _dense_ratio(v, M, pair):
     """The restriction ratio of profile M by the full |V| x q radial matrix."""
-    return lr_norm_sigma(radial_matrix(v) @ M, v, pair.r) / profile_lp_norm(
-        RadialProfile(v.ctx, M), pair.p
-    )
+    norm = lr_norm_sigma(radial_matrix(v) @ M, v, pair.r)
+    return norm / profile_lp_norm(v.ctx, M, pair.p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -329,7 +340,7 @@ def test_witness_matches_dense_sphere_and_constant_profiles(q, d, name, p, r):
     ctx = FieldCtx(q, d)
     v = build_variety(ctx, name)
     pair = ExponentPair(p, r)
-    profiles = [RadialProfile.delta(ctx, j).coeffs for j in range(q)] + [np.ones(q)]
+    profiles = list(np.eye(q)) + [np.ones(q)]
     dense = max(_dense_ratio(v, M, pair) for M in profiles)
     assert abs(witness_lower_bound(v, pair) - dense) <= 1e-12 * dense
 
@@ -418,7 +429,7 @@ def test_search_dominates_its_own_starts():
     # constant profile is one of the starts
     const_ratio = lr_norm_sigma(
         radial_matrix(v) @ np.ones(5), v, pair.r
-    ) / profile_lp_norm(RadialProfile.constant(ctx), pair.p)
+    ) / profile_lp_norm(ctx, np.ones(5), pair.p)
     assert rep.estimate >= const_ratio - 1e-9
     assert rep.estimate >= witness_lower_bound(v, pair) - 1e-6
 
@@ -726,15 +737,13 @@ def test_homogeneity_of_ratio():
     pair = ExponentPair(F(3, 2), F(2))
     rng = np.random.default_rng(5)
     M = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    prof = RadialProfile(ctx, M)
 
-    def ratio(prof):
-        return lr_norm_sigma(A @ prof.coeffs, v, pair.r) / profile_lp_norm(prof, pair.p)
+    def ratio(M):
+        return lr_norm_sigma(A @ M, v, pair.r) / profile_lp_norm(ctx, M, pair.p)
 
-    base = ratio(prof)
+    base = ratio(M)
     for scale in (2.0, -3.5, 1.0j, 0.25 - 0.7j):
-        scaled = RadialProfile(ctx, scale * M)
-        assert abs(ratio(scaled) - base) <= 1e-9 * base
+        assert abs(ratio(scale * M) - base) <= 1e-9 * base
 
 
 # ---------------------------------------------------------------------------
@@ -807,6 +816,13 @@ def test_region_lewko_rejects_small_d():
         region_lewko(2, (F(1), F(1)))
 
 
+@pytest.mark.parametrize("region", [region_conjecture, region_lewko])
+@pytest.mark.parametrize("point", [(2, F(1, 2)), (F(3, 4), F(-1, 8))])
+def test_regions_refuse_points_outside_the_unit_square(region, point):
+    with pytest.raises(ValueError, match=r"point must lie in \[0,1\]\^2"):
+        region(3, point)
+
+
 def test_lewko_region_inside_conjecture_region():
     # the proven region is contained in the necessary one
     for d in (3, 4, 5):
@@ -854,7 +870,7 @@ def test_profile_sum_and_m0_bounds(q, d, p):
 def test_suf1_zero_profile():
     ctx = FieldCtx(5, 4)
     v = build_variety(ctx, "plane")
-    L, R, Mterm = suf1_diagnostic(v, RadialProfile(ctx, np.zeros(5)), F(2))
+    L, R, Mterm = suf1_diagnostic(v, np.zeros(5), F(2))
     assert L == R == Mterm == 0.0
 
 
@@ -863,8 +879,7 @@ def test_suf1_triangle_bound():
     v = build_variety(ctx, "plane")
     rng = np.random.default_rng(8)
     for r in (F(1), F(2), F(5, 2)):
-        prof = RadialProfile(ctx, rng.random(5))
-        L, R, Mterm = suf1_diagnostic(v, prof, r)
+        L, R, Mterm = suf1_diagnostic(v, rng.random(5), r)
         assert L <= 2 ** float(r) * (R + Mterm) + 1e-9
 
 
@@ -874,11 +889,11 @@ def test_suf1_zero_radius_term_bound():
     ctx = FieldCtx(5, 4)
     v = build_variety(ctx, "plane")
     q, d, r = 5, 4, 2.0
-    prof = RadialProfile.delta(ctx, 0)
-    prof = RadialProfile(ctx, prof.coeffs / profile_lp_norm(prof, F(8, 5)))
-    L, R, Mterm = suf1_diagnostic(v, prof, F(2))
+    M = np.eye(q)[0]
+    M = M / profile_lp_norm(ctx, M, F(8, 5))
+    L, R, Mterm = suf1_diagnostic(v, M, F(2))
     inter = zero_sphere_intersection(v)
-    M0 = abs(prof.coeffs[0])
+    M0 = abs(M[0])
     bound = (
         q ** (r * d / 2) * M0**r * inter.count / q ** (d - 1)
         + q ** (r * (d - 2) / 2) * M0**r * v.cardinality / q ** (d - 1)
@@ -892,10 +907,10 @@ def test_suf1_normalization_flag():
     ctx = FieldCtx(5, 3)
     v = build_variety(ctx, "paraboloid")
     rng = np.random.default_rng(2)
-    prof = RadialProfile(ctx, 7.0 * rng.random(5))
+    M = 7.0 * rng.random(5)
     p = F(3, 2)
-    direct = suf1_diagnostic(v, prof, F(2), normalize_p=p)
-    manual = RadialProfile(ctx, prof.coeffs / profile_lp_norm(prof, p))
+    direct = suf1_diagnostic(v, M, F(2), normalize_p=p)
+    manual = M / profile_lp_norm(ctx, M, p)
     expected = suf1_diagnostic(v, manual, F(2))
     assert np.allclose(direct, expected, rtol=1e-12, atol=0)
 
@@ -916,5 +931,5 @@ def test_suf1_matches_the_dense_power_sums(case, r):
         float((np.abs(g) ** rf).sum()) / q ** (d - 1)
         for g in (A @ M, A[:, 0] * M[0], A @ M_rest)
     ]
-    got = suf1_diagnostic(v, RadialProfile(ctx, M), r)
+    got = suf1_diagnostic(v, M, r)
     assert np.allclose(got, want, rtol=1e-9, atol=0)

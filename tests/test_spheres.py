@@ -12,6 +12,7 @@ from ffharm import (
     FieldCtx,
     TooLarge,
     enumerate_sphere,
+    eta,
     gauss,
     inv,
     sphere_count_closed,
@@ -142,14 +143,14 @@ def test_completed_square_identity(q):
     # per-coordinate step behind the closed form:
     # sum_m chi(s m^2 - x m) = chi(-x^2/(4s)) eta(s) G_1
     ctx = FieldCtx(q, 2)
-    chi = ctx.chars.chi_values
-    G1 = gauss(ctx, 1).value
+    chi = ctx.chi_values
+    G1 = gauss(ctx, 1)
     m = np.arange(q)
     for s in range(1, q):
         inv4s = inv(ctx, (4 * s) % q)
         for x in range(q):
             lhs = chi[(s * m * m - x * m) % q].sum()
-            rhs = chi[(-x * x * inv4s) % q] * ctx.chars.eta(s) * G1
+            rhs = chi[(-x * x * inv4s) % q] * eta(ctx, s) * G1
             assert abs(lhs - rhs) < 1e-9
 
 
