@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--q", type=_odd_prime, required=True)
     p_sum.add_argument("--a", type=int, required=True)
     p_sum.add_argument("--b", type=int, default=None)
-    p_sum.set_defaults(func=_run_sum)
+    p_sum.set_defaults(func=_run_sum, parser=p_sum)
 
     p_sphere = sub.add_parser("sphere", help="sphere cardinalities and transforms")
     sphere_sub = p_sphere.add_subparsers(dest="subcommand", required=True)
@@ -515,20 +515,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--q", type=_odd_prime, required=True)
     p_count.add_argument("--d", type=_dimension, required=True)
     p_count.add_argument("--j", type=int, required=True)
-    p_count.set_defaults(func=_run_sphere_count)
+    p_count.set_defaults(func=_run_sphere_count, parser=p_count)
 
     p_ft = sphere_sub.add_parser("ft")
     p_ft.add_argument("--q", type=_odd_prime, required=True)
     p_ft.add_argument("--d", type=_dimension, required=True)
     p_ft.add_argument("--j", type=int, required=True)
     p_ft.add_argument("--x", type=_vector, required=True, help="comma-separated coordinates")
-    p_ft.set_defaults(func=_run_sphere_ft)
+    p_ft.set_defaults(func=_run_sphere_ft, parser=p_ft)
 
     p_vl = sphere_sub.add_parser("verify-lemma1")
     p_vl.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
     p_vl.add_argument("--d", type=_dimension_list, required=True, help="comma-separated dimensions")
     p_vl.add_argument("--tol", type=_positive_finite, default=1e-6)
-    p_vl.set_defaults(func=_run_verify_lemma1)
+    p_vl.set_defaults(func=_run_verify_lemma1, parser=p_vl)
 
     p_var = sub.add_parser("variety", help="build varieties and check the S_0 intersection")
     var_sub = p_var.add_subparsers(dest="subcommand", required=True)
@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help="paraboloid | plane | sphere:<t> | poly:<source>",
         )
-        pv.set_defaults(func=func)
+        pv.set_defaults(func=func, parser=pv)
 
     p_res = sub.add_parser("restrict", help="restriction norms, scans, region tests")
     res_sub = p_res.add_subparsers(dest="subcommand", required=True)
@@ -563,13 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
         pr.add_argument("--q", type=q_type, required=True, help=q_help)
         if name == "scan":
             pr.add_argument("--out", required=True)
-        pr.set_defaults(func=func)
+        pr.set_defaults(func=func, parser=pr)
 
     p_region = res_sub.add_parser("region")
     p_region.add_argument("--d", type=_dimension, required=True)
     p_region.add_argument("--p", type=_exponent, required=True)
     p_region.add_argument("--r", type=_exponent, required=True)
-    p_region.set_defaults(func=_run_restrict_region)
+    p_region.set_defaults(func=_run_restrict_region, parser=p_region)
 
     p_ftm = sub.add_parser("ft", help="Fourier engine self-test")
     ft_sub = p_ftm.add_subparsers(dest="subcommand", required=True)
@@ -578,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--d", type=_dimension, required=True)
     p_self.add_argument("--trials", type=_int_at_least("trials", 1), default=20)
     p_self.add_argument("--seed", type=_seed, default=0)
-    p_self.set_defaults(func=_run_ft_selftest)
+    p_self.set_defaults(func=_run_ft_selftest, parser=p_self)
 
     return parser
 
@@ -588,9 +588,7 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    args.parser = parser
+    args = _parser().parse_args(argv)  # args.parser is the leaf's, for its usage errors
     try:
         return args.func(args)
     except FFHarmError as e:

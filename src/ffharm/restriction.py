@@ -10,12 +10,15 @@ a small, explicitly computable optimization problem:
 with A[x, j] the transform of the radius-j sphere indicator at x in V.
 Every routine reads A through its distinct rows, one per norm class of V,
 with the measure dsigma folded in (``_class_rows``); the rows are real, as
-the sphere kernel is.  Every norm is taken with ``_weighted_norm``.
+the sphere kernel is.  Every norm is taken with ``_weighted_norm``, but
+for the two inside the power method's loop, which come from the same
+|x|^2 as its duality maps (``_duality``); it is their test oracle.
 ``rnorm_exact_22`` solves the Euclidean case p = r = 2 exactly (top
 singular value, by one dense symmetric eigensolve); ``rnorm_search``
 lower-bounds the general case by the multi-start nonlinear power method
-for p -> r norms (Boyd 1974; Higham 1992), all starts iterated together:
-by Holder's inequality no step lowers the ratio, and a start stops when a
+for p -> r norms (Boyd 1974; Higham 1992), all starts iterated together
+in real arithmetic, the signed ones as real and imaginary parts: by
+Holder's inequality no step lowers the ratio, and a start stops when a
 step no longer raises it by more than 1e-13 relative; and
 ``witness_lower_bound`` evaluates the cheap closed-form witnesses.
 
@@ -256,13 +259,6 @@ class SearchConfig:
     sign_mode: str = "signed"  # "signed" (complex) | "nonneg" (real >= 0)
 
 
-def _psi(x: np.ndarray, s: float) -> np.ndarray:
-    """The duality map |x|^(s-2) x, taking 0 to 0."""
-    a = np.abs(x)
-    np.power(a, s - 2.0, out=a, where=a > 0)
-    return a * x
-
-
 def _starts(q: int, n_starts: int, seed: int, nonneg: bool) -> np.ndarray:
     """The first n_starts of: every delta, the constant profile, then seeded
     random profiles (uniform on [0, 1) in nonneg mode, complex Gaussian
@@ -278,6 +274,19 @@ def _starts(q: int, n_starts: int, seed: int, nonneg: bool) -> np.ndarray:
     return np.vstack([structured, random])[:n_starts]
 
 
+def _duality(x: np.ndarray, x2: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """psi_s(x) = |x|^(s-2) x, taking 0 to 0, and |x|^s, by one power of x2 = |x|^2.
+
+    The parts of each entry (real, or real and imaginary) run along x's first
+    axis, and x2 sums their squares.  The power is 1 at s = 2 and skipped.
+    """
+    if s == 2.0:
+        return x, x2
+    e = (s - 2.0) / 2.0  # 0^e = 0 for e > 0, so only e < 0 needs the mask
+    w = x2**e if e > 0 else np.power(x2, e, out=np.zeros_like(x2), where=x2 > 0)
+    return w * x, w * x2
+
+
 def _power_method(
     A: np.ndarray,
     sizes: np.ndarray,
@@ -289,65 +298,74 @@ def _power_method(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Power-method runs from every row of M0, iterated together.
 
-    Returns per start the value ||A M||_r, the profile M and the step
-    count, and the number of starts still running at the step cap.  Each
-    profile stays on the unit ball of the weighted p-norm
-    (sum_j sizes_j |M_j|^p)^(1/p), so ||A M||_r is the ratio when A's rows
-    carry the measure, as ``_class_rows`` does.  Both norms are
-    ``_weighted_norm``.  A start leaves the batch as soon as its own stop
-    rule fires, so it follows the path a run from it alone would take, up
-    to rounding.  Starts flagged in the boolean mask ``vanishing`` have
-    A M = 0 in exact arithmetic: they get the value 0 after 0 steps, since
-    a run from them would follow rounding noise.  Signed runs cast A to
-    complex once, since numpy leaves complex-by-real products out of BLAS;
-    nonneg runs iterate on A as given.
+    Returns per start the value ||A M||_r, the profile M (complex unless
+    ``nonneg``) and the step count, and the number of starts still running
+    at the step cap.  Each profile stays on the unit ball of the weighted
+    p-norm (sum_j sizes_j |M_j|^p)^(1/p), so ||A M||_r is the ratio when
+    A's rows carry the measure, as ``_class_rows`` does.  A start leaves the
+    batch as soon as its own stop rule fires, so it follows the path a run
+    from it alone would take, up to rounding.  Starts flagged in the
+    boolean mask ``vanishing`` have A M = 0 in exact arithmetic: they get
+    the value 0 after 0 steps, since a run from them would follow rounding
+    noise.  A must be real: the loop holds the profiles as one float64
+    array (parts, starts, q), real and imaginary parts when signed, so each
+    product is one real matrix product, and ``_duality`` gives both norms.
     """
-
-    def unit(M: np.ndarray) -> np.ndarray:
-        """M with each row scaled in place to the unit weighted-p ball."""
-        M /= _weighted_norm(M, sizes, pf)[:, None]
-        return M
-
+    if np.iscomplexobj(A):
+        raise TypeError("the power method iterates on real rows")
+    At, A_sized = A.T, A / sizes  # the rows of A^H / |S|
     pc = pf / (pf - 1.0)
-    ones = np.ones(len(A))
-    if not nonneg:
-        A = A.astype(np.complex128)
-    At, Ah = A.T, A.conj()
-    profiles = unit(np.array(M0, dtype=np.float64 if nonneg else np.complex128))
-    G = profiles @ At  # row i is A M_i
-    values = _weighted_norm(G, ones, rf)
-    steps = np.full(len(profiles), _POWER_STEPS)
-    live = np.arange(len(profiles))  # the start behind each row of G
-    if vanishing is not None:
-        values[vanishing], steps[vanishing] = 0.0, 0
-        live = live[~vanishing]
-        G = G[live]
-    value = values[live]
+    out = np.array([M0.real] if nonneg else [M0.real, M0.imag], dtype=np.float64)
+    out /= _weighted_norm(M0, sizes, pf)[:, None]
+    keep = np.ones(len(M0), dtype=bool) if vanishing is None else ~vanishing
+    values, steps = np.zeros(len(M0)), np.where(keep, _POWER_STEPS, 0)
+    live = np.flatnonzero(keep)  # the start behind each row of M
+
+    def product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """X B for each part and start of X, as one real matrix product."""
+        parts, rows, cols = X.shape
+        return (X.reshape(parts * rows, cols) @ B).reshape(parts, rows, B.shape[1])
+
+    def measure(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi_r(A M) and ||A M||_r for each start of M."""
+        G = product(M, At)
+        psi, g_r = _duality(G, np.square(G).sum(axis=0), rf)
+        return psi, g_r.sum(axis=1) ** (1.0 / rf)
+
+    def leave(gone: np.ndarray, M: np.ndarray, value: np.ndarray, k: int) -> None:
+        """Record profile, value and steps of the live starts flagged in gone."""
+        if gone.any():
+            i = live[gone]
+            out[:, i], values[i], steps[i] = M[:, gone], value[gone], k
+
+    M = out.compress(keep, axis=1)
+    psi, value = measure(M)
     for k in range(_POWER_STEPS):
-        Y = _psi(G, rf) @ Ah
-        Y /= sizes  # row i is A^H psi_r(A M_i) / |S|
-        if nonneg:
-            Y = np.clip(Y.real, 0.0, None)
-        top = np.abs(Y).max(axis=1)
-        moving = top > 0  # else A M = 0, or no ascent direction on the cone
-        steps[live[~moving]] = k
-        live, Y, top, value = live[moving], Y[moving], top[moving], value[moving]
-        # the scale of each row drops out; dividing by its top avoids overflow
-        Y /= top[:, None]
-        cand = unit(_psi(Y, pc))
-        G_cand = cand @ At
-        cand_value = _weighted_norm(G_cand, ones, rf)
-        up = cand_value > value
-        steps[live[~up]] = k + 1  # keeps the profile it had
-        gain = (cand_value[up] - value[up]) / value[up]
-        live, G, value = live[up], G_cand[up], cand_value[up]
-        values[live], profiles[live] = value, cand[up]
-        more = gain > 1e-13
-        steps[live[~more]] = k + 1  # keeps the new profile
-        live, G, value = live[more], G[more], value[more]
         if live.size == 0:
             break
-    return values, profiles, steps, int(live.size)
+        Y = product(psi, A_sized)  # row i is A^H psi_r(A M_i) / |S|
+        if nonneg:
+            np.clip(Y, 0.0, None, out=Y)
+        top = np.abs(Y).max(axis=(0, 2))
+        moving = top > 0  # else A M = 0, or no ascent direction on the cone
+        if not moving.all():
+            leave(~moving, M, value, k)
+            live, M, value = live[moving], M.compress(moving, axis=1), value[moving]
+            Y, top = Y.compress(moving, axis=1), top[moving]
+        # the scale of each row drops out; dividing by its top avoids overflow
+        Y /= top[:, None]
+        cand, y_pc = _duality(Y, np.square(Y).sum(axis=0), pc)  # |psi_p'(Y)|^p = |Y|^p'
+        cand /= ((y_pc @ sizes) ** (1.0 / pf))[:, None]
+        cand_psi, cand_value = measure(cand)
+        up = cand_value > value
+        gain = np.divide(cand_value - value, value, out=np.zeros(len(value)), where=up)
+        more = gain > 1e-13
+        leave(~up, M, value, k + 1)  # keeps the profile it had
+        leave(up & ~more, cand, cand_value, k + 1)  # keeps the new profile
+        live, M, value = live[more], cand.compress(more, axis=1), cand_value[more]
+        psi = cand_psi.compress(more, axis=1)
+    leave(np.ones(live.size, dtype=bool), M, value, _POWER_STEPS)
+    return values, out[0] if nonneg else out[0] + 1j * out[1], steps, int(live.size)
 
 
 def _tied(values: np.ndarray) -> int:

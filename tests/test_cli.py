@@ -63,7 +63,7 @@ def test_sum_requires_b_for_kloosterman(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sum", "kloosterman", "--q", "3", "--a", "1"])
     assert info.value.code == 2
-    assert capsys.readouterr().err.endswith("ffharm: error: kloosterman requires --b\n")
+    assert capsys.readouterr().err.endswith("ffharm sum: error: kloosterman requires --b\n")
 
 
 @pytest.mark.parametrize(
@@ -605,7 +605,12 @@ def test_main_builds_one_tree_and_reuses_it(capsys):
     # after --seed 2 or --seed 3) must get its default on the reused tree
     parser = ffharm.cli._parser()
     for argv in _LEAF_LINES:
-        assert vars(parser.parse_args(argv)) == vars(build_parser().parse_args(argv))
+        got, want = vars(parser.parse_args(argv)), vars(build_parser().parse_args(argv))
+        # each tree has its own leaf parsers, so those compare by name
+        assert got.pop("parser").prog == want.pop("parser").prog == "ffharm " + " ".join(
+            argv[: 1 if argv[0] == "sum" else 2]
+        )
+        assert got == want
 
 
 def test_import_builds_no_parser():
@@ -647,6 +652,39 @@ def test_leaf_usage_line(monkeypatch, capsys, command):
     with pytest.raises(SystemExit):
         main(command.split() + ["--help"])
     assert capsys.readouterr().out.splitlines()[0] == f"usage: ffharm {command} {_USAGE[command]}"
+
+
+# usage errors that the commands raise after parsing
+_LATE_USAGE_ERRORS = {
+    "sum": ("sum kloosterman --q 3 --a 1", "kloosterman requires --b"),
+    "sphere ft": ("sphere ft --q 3 --d 2 --j 1 --x 1", "--x needs 2 coordinates"),
+    "restrict norm": (
+        "restrict norm --q 5 --d 3 --variety paraboloid --p 3/2 --r 2 --method exact22",
+        "method exact22 requires --p 2 --r 2",
+    ),
+    "restrict scan": (
+        "restrict scan --q 5 --d 3 --variety paraboloid --p 3/2 --r 2 --method exact22"
+        " --out x.csv",
+        "method exact22 requires --p 2 --r 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_LATE_USAGE_ERRORS))
+def test_late_usage_error_prints_the_leaf_usage(monkeypatch, capsys, tmp_path, command):
+    # as argparse's own errors do: the leaf's usage line, then its prog
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.chdir(tmp_path)
+    line, message = _LATE_USAGE_ERRORS[command]
+    with pytest.raises(SystemExit) as info:
+        main(line.split())
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage: ffharm {command} {_USAGE[command]}\nffharm {command}: error: {message}\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_help_lists_every_command(monkeypatch, capsys):

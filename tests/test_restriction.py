@@ -36,8 +36,8 @@ import ffharm.restriction
 from ffharm.restriction import (
     _POWER_STEPS,
     _class_rows,
+    _duality,
     _power_method,
-    _psi,
     _starts,
     _tied,
     _weighted_norm,
@@ -308,12 +308,17 @@ def _duality_map(x, s):
 
 @pytest.mark.parametrize("s", [1.0, 6 / 5, 3 / 2, 2.0, 3.0, 6.0])
 def test_psi_matches_the_masked_duality_map(s):
+    # the power method's psi_s, on the real and imaginary parts stacked
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     x[0, :3] = 0
-    x[1, 5] = 1e-200
+    x[1, 5] = 1e-150  # its square 1e-300 is still a normal float
     for values in (x, x.real.copy()):
-        assert np.array_equal(_psi(values, s), _duality_map(values, s))
+        parts = np.array([values.real, values.imag])
+        psi, power = _duality(parts, np.square(parts).sum(axis=0), s)
+        want = _duality_map(values, s)
+        assert np.all(np.abs(psi[0] + 1j * psi[1] - want) <= 4e-15 * np.abs(want))
+        assert np.all(np.abs(power - np.abs(values) ** s) <= 4e-15 * np.abs(values) ** s)
 
 
 @pytest.mark.parametrize("q,d,name", _VARIETIES)
@@ -619,16 +624,22 @@ def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed
         assert best == want_best or abs(kept[best] - kept[want_best]) <= tol
 
 
-@pytest.mark.parametrize("q", [13, 31])
-def test_batched_steps_equal_one_start_steps_on_the_scan_rows(q):
+# the search workload's rows: the d = 3 paraboloid at (3/2, 2), the d = 4 one at (8/5, 2)
+_SCAN_ROWS = [pytest.param(3, q, F(3, 2), id=str(q)) for q in (13, 31, 61, 101)] + [
+    pytest.param(4, q, F(8, 5), id=f"d4-{q}") for q in (11, 31)
+]
+
+
+@pytest.mark.parametrize("d,q,p", _SCAN_ROWS)
+def test_batched_steps_equal_one_start_steps_on_the_scan_rows(d, q, p):
     # the search workload's rows converge in a few steps with gains far from
     # the stop threshold, so every start's count matches exactly
-    v = build_variety(FieldCtx(q, 3), "paraboloid")
-    pair = ExponentPair(F(3, 2), F(2))
+    v = build_variety(FieldCtx(q, d), "paraboloid")
+    pair = ExponentPair(p, F(2))
     A, sizes = _search_inputs(v, pair)
     M0 = _starts(q, q + 5, 0, nonneg=False)
-    values, _, steps, _ = _power_method(A, sizes, 1.5, 2.0, M0, False)
-    want_values, want_steps = _one_start_runs(A, sizes, 1.5, 2.0, M0, False)
+    values, _, steps, _ = _power_method(A, sizes, float(p), 2.0, M0, False)
+    want_values, want_steps = _one_start_runs(A, sizes, float(p), 2.0, M0, False)
     assert np.array_equal(steps, want_steps)
     assert np.all(np.abs(values - want_values) <= 1e-12 * want_values)
 
@@ -636,13 +647,16 @@ def test_batched_steps_equal_one_start_steps_on_the_scan_rows(q):
 @pytest.mark.parametrize("nonneg", [False, True])
 def test_start_with_a_zero_transform_stops_at_step_0(nonneg):
     # A M = 0 exactly for the first start: the map returns 0, no step is taken
-    A = np.array([[1.0 + 0j, 0.0, 2.0]])
+    A = np.array([[1.0, 0.0, 2.0]])
     sizes = np.array([1.0, 2.0, 3.0])
     M0 = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 3.0, 1.0]])
     values, profiles, steps, _ = _power_method(A, sizes, 1.5, 3.0, M0, nonneg)
     want_values, want_steps = _one_start_runs(A, sizes, 1.5, 3.0, M0, nonneg)
     assert values[0] == 0 and steps[0] == 0
     assert np.array_equal(profiles[0], M0[0] / 2 ** (1 / 1.5))
+    # alone, it empties the batch at step 0
+    alone = _power_method(A, sizes, 1.5, 3.0, M0[:1], nonneg)
+    assert alone[0][0] == 0 and alone[2][0] == 0 and alone[3] == 0
     assert np.array_equal(steps, want_steps)
     assert np.all(np.abs(values - want_values) <= 1e-12 * want_values)
 
@@ -686,6 +700,54 @@ def test_power_method_does_not_overflow_on_a_large_matrix():
     assert np.array_equal(big[1], profiles) and np.array_equal(big[2], steps)
 
 
+def test_power_method_does_not_underflow_on_a_small_matrix():
+    # the twin of the test above: a scale of 2^-330 keeps every square a
+    # normal float, so it too drops out exactly
+    v = build_variety(FieldCtx(5, 3), "paraboloid")
+    A, sizes = _search_inputs(v, ExponentPair(F(6, 5), F(2)))
+    M0 = _starts(5, 10, 0, nonneg=False)
+    values, profiles, steps, _ = _power_method(A, sizes, 1.2, 2.0, M0, False)
+    small = _power_method(2.0**-330 * A, sizes, 1.2, 2.0, M0, False)
+    assert np.array_equal(small[0], 2.0**-330 * values)
+    assert np.array_equal(small[1], profiles) and np.array_equal(small[2], steps)
+
+
+def test_power_method_refuses_complex_rows():
+    # the loop is real: a complex A must not lose its imaginary part
+    A = np.array([[1.0, 0.0, 2.0]])
+    sizes = np.array([1.0, 2.0, 3.0])
+    M0 = np.array([[1.0, 1.0, 1.0]])
+    for nonneg in (False, True):
+        with pytest.raises(TypeError, match="real"):
+            _power_method(A + 1j, sizes, 1.5, 3.0, M0, nonneg)
+        with pytest.raises(TypeError, match="real"):
+            _power_method(A.astype(np.complex128), sizes, 1.5, 3.0, M0, nonneg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_VARIETIES), _search_exponents, _exponents,
+    st.sampled_from(["signed", "nonneg"]), st.integers(0, 2**32 - 1),
+)
+def test_power_method_values_are_the_norms_of_its_profiles(case, p, r, sign_mode, seed):
+    # the loop's inline norms against _weighted_norm, the one norm of the module
+    q, d, name = case
+    v = build_variety(FieldCtx(q, d), name)
+    pair = ExponentPair(p, r)
+    pf, rf = float(p), float(r)
+    nonneg = sign_mode == "nonneg"
+    A, sizes = _search_inputs(v, pair)
+    M0 = _starts(q, q + 5, seed, nonneg)
+    vanishing = _vanishing_starts(v, q + 5)
+    values, profiles, _, _ = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
+    assert np.iscomplexobj(profiles) != nonneg
+    # a vanishing start's A M is rounding noise, and its value the exact 0
+    assert np.all(values[vanishing] == 0)
+    want = _weighted_norm(profiles[~vanishing] @ A.T, np.ones(len(A)), r)
+    assert np.all(np.abs(values[~vanishing] - want) <= 1e-12 * want)
+    assert np.all(np.abs(_weighted_norm(profiles, sizes, p) - 1) <= 1e-12)
+
+
 def test_tied_counts_values_within_1e9_of_the_best():
     values = np.array([2.0, 2.0 * (1 - 5e-10), 2.0 * (1 - 5e-9), 1.0, 2.0])
     assert _tied(values) == 3
@@ -718,6 +780,25 @@ def test_search_counts_capped_and_tied_starts():
     assert (steps > cap).any() and (steps <= cap).any()
     with _step_cap(cap):
         assert rnorm_search(v, pair).capped == int((steps > cap).sum())
+
+
+def test_each_start_keeps_the_profile_of_its_last_step():
+    # a start keeps its last step when the step raised the ratio, and a
+    # start cut by the step cap keeps the profile it had reached
+    v = build_variety(FieldCtx(7, 3), "paraboloid")
+    A, sizes = _search_inputs(v, ExponentPair(F(6, 5), F(3)))
+    M0 = _starts(7, 12, 0, nonneg=False)
+    values, _, steps, _ = _power_method(A, sizes, 1.2, 3.0, M0, False)
+    raised = 0
+    for s in np.unique(steps[steps > 0]):
+        with _step_cap(s - 1):
+            before, at_cap, _, _ = _power_method(A, sizes, 1.2, 3.0, M0, False)
+        at_cap_norms = _weighted_norm(at_cap @ A.T, np.ones(len(A)), 3)
+        assert np.all(np.abs(at_cap_norms - before) <= 1e-12 * before)
+        ends = steps == s
+        assert np.all(values[ends] >= before[ends])
+        raised += int((values[ends] > before[ends]).sum())
+    assert raised > 0
 
 
 def test_compare_sign_modes_returns_flag():
