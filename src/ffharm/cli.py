@@ -4,6 +4,9 @@ restriction norms, scans with CSV output, and the Fourier self-test.
 Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
 errors.  Scans run their primes one after another on the calling thread,
 each row seeded, so output is byte-identical for identical spec and seed.
+The search's q + 5 starts, the certificate's tolerance
+(``spheres.CLOSED_FORM_TOL``) and the self-test's trial count are fixed,
+not options.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ PASS, FAIL = "PASS", "FAIL"
 _SUM_KINDS = ("gauss", "kloosterman", "salie")
 _METHODS = ("search", "exact22", "witness")
 _SIGN_MODES = ("signed", "nonneg")
+_SELFTEST_TRIALS = 20
 
 
 def _fmt(x: float) -> str:
@@ -90,16 +94,6 @@ _dimension = _int_at_least("d", 2)
 _seed = _int_at_least("seed", 0)
 
 
-def _positive_finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
-
-
 def _distinct_list(item, noun: str):
     """An argparse type for a comma-separated list of distinct items, each read by item."""
 
@@ -135,12 +129,16 @@ def _exponent(text: str):
 
 
 def cmd_sum(kind: str, q: int, a: int, b: Optional[int] = None) -> int:
-    """Print one sum and check its bound; an unknown kind, or no b for a
-    Kloosterman or Salie sum, raises ``ValueError`` before any output."""
+    """Print one sum and check its bound; an unknown kind, no b for a
+    Kloosterman or Salie sum, or a Kloosterman sum with a = b = 0 mod q,
+    where no bound holds (the sum is q - 1), raises ``ValueError`` before
+    any output."""
     if kind not in _SUM_KINDS:
         raise ValueError(f"unknown sum kind {kind!r}")
     if kind != "gauss" and b is None:
         raise ValueError(f"{kind} requires --b")
+    if kind == "kloosterman" and a % q == b % q == 0:
+        raise ValueError("kloosterman needs --a or --b nonzero mod q")
     ctx = FieldCtx(q, 2)
     if kind == "gauss":
         value = gauss(ctx, a)
@@ -198,15 +196,14 @@ def _run_sphere_ft(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify_lemma1(q_list: Sequence[int], d_list: Sequence[int], tol: float = 1e-6) -> int:
+def cmd_verify_lemma1(q_list: Sequence[int], d_list: Sequence[int]) -> int:
     """Exhaustive brute-force-vs-closed sphere transform comparison per (q, d).
 
     Every pair's budget is checked before any pair runs: a request with
     one pair whose q^(2d-1), the budget in brute-force pairs that
     ``verify_closed_form`` keeps, exceeds ``GRID_BUDGET`` raises
     ``TooLarge`` with nothing printed.  An
-    empty or repeated list of q or d raises ``ValueError`` up front too; a
-    bad ``tol`` raises it from the first pair, also before any output.
+    empty or repeated list of q or d raises ``ValueError`` up front too.
     """
     for name, values in (("q", q_list), ("d", d_list)):
         if not values or len(set(values)) < len(values):
@@ -217,7 +214,7 @@ def cmd_verify_lemma1(q_list: Sequence[int], d_list: Sequence[int], tol: float =
     errors = []
     failed = False
     for ctx in contexts:
-        max_err, first_bad = verify_closed_form(ctx, tol=tol)
+        max_err, first_bad = verify_closed_form(ctx)
         errors.append(max_err)
         if first_bad is None:
             print(f"q={ctx.q} d={ctx.d}  max_err={max_err:.3e}  {PASS}")
@@ -230,7 +227,7 @@ def cmd_verify_lemma1(q_list: Sequence[int], d_list: Sequence[int], tol: float =
 
 
 def _run_verify_lemma1(args) -> int:
-    return cmd_verify_lemma1(args.q, args.d, tol=args.tol)
+    return cmd_verify_lemma1(args.q, args.d)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +268,8 @@ def _run_variety_intersect(args) -> int:
 # restrict
 
 
-def _check_request(
-    pair: ExponentPair, method: str, starts: Optional[int], seed: int, sign_mode: str
-) -> None:
-    """Reject an unknown method or sign mode, or a pair, start count or seed it cannot run."""
+def _check_request(pair: ExponentPair, method: str, seed: int, sign_mode: str) -> None:
+    """Reject an unknown method or sign mode, or a pair or seed it cannot run."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     if sign_mode not in _SIGN_MODES:
@@ -283,17 +278,13 @@ def _check_request(
         raise ValueError(f"--seed must be >= 0, got {seed}")
     if method == "exact22" and not (pair.p == 2 and pair.r == 2):
         raise ValueError("method exact22 requires --p 2 --r 2")
-    if method == "search":
-        if not pair.is_finite:
-            raise ValueError("method search needs finite --p and --r")
-        if starts is not None and starts < 1:
-            raise ValueError("--starts must be >= 1")
+    if method == "search" and not pair.is_finite:
+        raise ValueError("method search needs finite --p and --r")
 
 
-def _report_for(v, pair, method, starts, seed, sign_mode) -> RestrictionReport:
+def _report_for(v, pair, method, seed, sign_mode) -> RestrictionReport:
     if method == "search":
-        config = SearchConfig(starts=starts, seed=seed, sign_mode=sign_mode)
-        return rnorm_search(v, pair, config)
+        return rnorm_search(v, pair, SearchConfig(seed=seed, sign_mode=sign_mode))
     if method == "exact22":
         sigma = rnorm_exact_22(v)
         return RestrictionReport(
@@ -308,11 +299,11 @@ def _report_for(v, pair, method, starts, seed, sign_mode) -> RestrictionReport:
 def _run_restrict_norm(args) -> int:
     pair = ExponentPair(args.p, args.r)
     try:
-        _check_request(pair, args.method, args.starts, args.seed, args.sign_mode)
+        _check_request(pair, args.method, args.seed, args.sign_mode)
     except ValueError as e:
         args.parser.error(str(e))
     v = build_variety(FieldCtx(args.q, args.d), args.variety)
-    rep = _report_for(v, pair, args.method, args.starts, args.seed, args.sign_mode)
+    rep = _report_for(v, pair, args.method, args.seed, args.sign_mode)
     if not v.size_ok:
         print("[hypothesis violated: |V| far from q^(d-1)]")
     print(
@@ -334,7 +325,6 @@ class ScanSpec:
     qs: list[int]
     pair: ExponentPair
     method: str = "search"
-    starts: Optional[int] = None
     seed: int = 0
     sign_mode: str = "signed"
     out: str = "scan.csv"
@@ -347,7 +337,7 @@ class ScanSpec:
                 raise ValueError(f"scan q values must be odd primes, got {q}")
         if self.d < 2:
             raise ValueError("scan needs d >= 2")
-        _check_request(self.pair, self.method, self.starts, self.seed, self.sign_mode)
+        _check_request(self.pair, self.method, self.seed, self.sign_mode)
         self.qs = sorted(self.qs)
 
 
@@ -358,7 +348,7 @@ def _scan_row(spec: ScanSpec, q: int) -> str:
     ctx = FieldCtx(q, spec.d)
     v = build_variety(ctx, spec.variety)
     inter = zero_sphere_intersection(v)
-    rep = _report_for(v, spec.pair, spec.method, spec.starts, spec.seed, spec.sign_mode)
+    rep = _report_for(v, spec.pair, spec.method, spec.seed, spec.sign_mode)
     fields = [
         str(q),
         str(spec.d),
@@ -417,7 +407,6 @@ def _run_restrict_scan(args) -> int:
             qs=args.q,
             pair=ExponentPair(args.p, args.r),
             method=args.method,
-            starts=args.starts,
             seed=args.seed,
             sign_mode=args.sign_mode,
             out=args.out,
@@ -448,17 +437,15 @@ def _run_restrict_region(args) -> int:
 # ft selftest
 
 
-def cmd_ft_selftest(q: int, d: int, trials: int = 20, seed: int = 0) -> int:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+def cmd_ft_selftest(q: int, d: int, seed: int = 0) -> int:
+    """Check ``ft_fast`` against the brute force, Plancherel and the inverse
+    on ``_SELFTEST_TRIALS`` seeded complex Gaussian vectors."""
     ctx = FieldCtx(q, d)
     rng = np.random.default_rng(seed)
     ok = True
     worst_fast = worst_plancherel = worst_roundtrip = 0.0
-    draws = np.array(
-        [rng.standard_normal(ctx.size) + 1j * rng.standard_normal(ctx.size) for _ in range(trials)],
-        dtype=np.complex128,
-    ).reshape(-1, ctx.size)
+    normal = rng.standard_normal
+    draws = np.array([normal(ctx.size) + 1j * normal(ctx.size) for _ in range(_SELFTEST_TRIALS)])
     # every trial's naive transform in one brute-force pass, one column each
     slow_all = fourier.character_sums(ctx, ctx.grid_points(), draws.T)
     for values, slow in zip(draws, slow_all.T):
@@ -486,7 +473,7 @@ def cmd_ft_selftest(q: int, d: int, trials: int = 20, seed: int = 0) -> int:
 
 
 def _run_ft_selftest(args) -> int:
-    return cmd_ft_selftest(args.q, args.d, trials=args.trials, seed=args.seed)
+    return cmd_ft_selftest(args.q, args.d, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vl = sphere_sub.add_parser("verify-lemma1")
     p_vl.add_argument("--q", type=_odd_prime_list, required=True, help="comma-separated primes")
     p_vl.add_argument("--d", type=_dimension_list, required=True, help="comma-separated dimensions")
-    p_vl.add_argument("--tol", type=_positive_finite, default=1e-6)
     p_vl.set_defaults(func=_run_verify_lemma1, parser=p_vl)
 
     p_var = sub.add_parser("variety", help="build varieties and check the S_0 intersection")
@@ -557,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         pr.add_argument("--p", type=_exponent, required=True, help="fraction a/b or inf")
         pr.add_argument("--r", type=_exponent, required=True, help="fraction a/b or inf")
         pr.add_argument("--method", choices=_METHODS, default="search")
-        pr.add_argument("--starts", type=int, default=None)
         pr.add_argument("--seed", type=_seed, default=0)
         pr.add_argument("--sign-mode", dest="sign_mode", choices=_SIGN_MODES, default="signed")
         pr.add_argument("--q", type=q_type, required=True, help=q_help)
@@ -576,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = ft_sub.add_parser("selftest")
     p_self.add_argument("--q", type=_odd_prime, required=True)
     p_self.add_argument("--d", type=_dimension, required=True)
-    p_self.add_argument("--trials", type=_int_at_least("trials", 1), default=20)
     p_self.add_argument("--seed", type=_seed, default=0)
     p_self.set_defaults(func=_run_ft_selftest, parser=p_self)
 

@@ -16,11 +16,12 @@ for the two inside the power method's loop, which come from the same
 ``rnorm_exact_22`` solves the Euclidean case p = r = 2 exactly (top
 singular value, by one dense symmetric eigensolve); ``rnorm_search``
 lower-bounds the general case by the multi-start nonlinear power method
-for p -> r norms (Boyd 1974; Higham 1992), all starts iterated together
-in real arithmetic, the signed ones as real and imaginary parts: by
-Holder's inequality no step lowers the ratio, and a start stops when a
-step no longer raises it by more than 1e-13 relative; and
-``witness_lower_bound`` evaluates the cheap closed-form witnesses.
+for p -> r norms (Boyd 1974; Higham 1992), its fixed q + 5 starts
+iterated together in real arithmetic, the signed ones as real and
+imaginary parts: by Holder's inequality no step lowers the ratio, and a
+start stops when a step no longer raises it by more than 1e-13
+relative; and ``witness_lower_bound`` evaluates the cheap closed-form
+witnesses.
 
 Exponent pairs are exact fractions throughout, so region membership and
 the rational exponent gates never see floating point.
@@ -28,8 +29,8 @@ the rational exponent gates never see floating point.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -57,12 +58,13 @@ def _check_exponent(x: Exponent, name: str) -> Exponent:
 
 
 def parse_exponent(text: str) -> Exponent:
-    """Parse 'a/b' or an integer; 'inf' for infinity.  Decimals rejected."""
+    """Parse 'a/b' or an integer; 'inf' for infinity.  Decimals and
+    scientific notation are rejected."""
     text = text.strip()
     if text.lower() in ("inf", "infinity", "oo"):
         return math.inf
-    if "." in text:
-        raise ValueError(f"decimal exponents rejected, use a/b fractions: {text!r}")
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"exponents are a/b fractions, integers or inf, got {text!r}")
     try:
         return _check_exponent(Fraction(text), "exponent")
     except ZeroDivisionError:
@@ -248,13 +250,8 @@ _POWER_STEPS = 10_000
 
 @dataclass
 class SearchConfig:
-    """Knobs for rnorm_search.  Defaults are the settings the scans use.
+    """Knobs for rnorm_search.  Defaults are the settings the scans use."""
 
-    ``starts=None`` means the q+1 structured starts (all deltas, then the
-    constant profile) plus 4 random ones.
-    """
-
-    starts: Optional[int] = None
     seed: int = 0
     sign_mode: str = "signed"  # "signed" (complex) | "nonneg" (real >= 0)
 
@@ -379,13 +376,14 @@ def rnorm_search(
     """Maximize the radial restriction ratio by the multi-start power method.
 
     Every value returned is certified: it is the ratio achieved by an
-    explicit profile, hence a true lower bound of the norm.  The starts
-    (deltas, constant, then seeded random profiles, in that order) iterate
-    together, one row each of a starts x q profile matrix, so every step is
-    one matrix product per side for all starts still running.  Each start
-    stops on its own rule and leaves the batch then, so it follows the path
-    a run from it alone would take, up to rounding.  Ties keep the earliest
-    start, so the result is deterministic given the seed.
+    explicit profile, hence a true lower bound of the norm.  The q + 5
+    starts (the q deltas, the constant, then 4 seeded random profiles, in
+    that order) iterate together, one row each of a starts x q profile
+    matrix, so every step is one matrix product per side for all starts
+    still running.  Each start stops on its own rule and leaves the batch
+    then, so it follows the path a run from it alone would take, up to
+    rounding.  Ties keep the earliest start, so the result is
+    deterministic given the seed.
 
     Each start iterates M <- psi_p'(A^H psi_r(A M) / |S|), rescaled to the
     unit weighted-p ball, with psi_s(x) = |x|^(s-2) x.  By Holder's
@@ -404,8 +402,8 @@ def rnorm_search(
     At p = 1 the ratio is convex on the weighted l1 ball, so its maximum
     is at a vertex, a normalized single sphere: the best of those q
     profiles is returned with no power steps (iterations = 0, earliest
-    radius on ties, ``tied`` counted over the q spheres), whatever
-    ``starts`` and ``seed`` are.
+    radius on ties, ``tied`` counted over the q spheres), whatever the
+    seed is.
     """
     if config is None:
         config = SearchConfig()
@@ -413,8 +411,6 @@ def rnorm_search(
         raise ValueError("rnorm_search needs finite exponents")
     if config.sign_mode not in ("signed", "nonneg"):
         raise ValueError(f"unknown sign_mode {config.sign_mode!r}")
-    if config.starts is not None and config.starts < 1:
-        raise ValueError("starts must be >= 1")
     if config.seed < 0:
         raise ValueError("seed must be >= 0")
 
@@ -433,12 +429,11 @@ def rnorm_search(
             config.seed, config.sign_mode, np.eye(q)[j] / sizes[j], tied=_tied(values),
         )
 
-    n_starts = config.starts if config.starts is not None else q + 5
-    M0 = _starts(q, n_starts, config.seed, nonneg)
+    M0 = _starts(q, q + 5, config.seed, nonneg)
     # the constant profile (row q) transforms to a point mass at the origin,
     # so A M = 0 exactly on a variety without 0
-    vanishing = np.zeros(n_starts, dtype=bool)
-    vanishing[q : q + 1] = not v.contains_zero
+    vanishing = np.zeros(q + 5, dtype=bool)
+    vanishing[q] = not v.contains_zero
     values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
     best = int(np.argmax(values))  # the first maximum: ties keep the earliest start
     return RestrictionReport(
@@ -448,18 +443,17 @@ def rnorm_search(
 
 
 def compare_sign_modes(
-    v: Variety, pair: ExponentPair, config: Optional[SearchConfig] = None, tol: float = 1e-6
+    v: Variety, pair: ExponentPair
 ) -> tuple[RestrictionReport, RestrictionReport, bool]:
-    """Run both sign modes; flag when the signed search strictly wins.
+    """Run both sign modes at seed 0; flag when signed wins by more than 1e-6.
 
     The nonnegativity reduction is a proof device for upper bounds; whether
     the supremum itself is attained on nonnegative profiles is open, so the
     flag is worth watching in scans.
     """
-    base = config if config is not None else SearchConfig()
-    signed = rnorm_search(v, pair, dataclasses.replace(base, sign_mode="signed"))
-    nonneg = rnorm_search(v, pair, dataclasses.replace(base, sign_mode="nonneg"))
-    return signed, nonneg, signed.estimate > nonneg.estimate + tol
+    signed = rnorm_search(v, pair, SearchConfig(sign_mode="signed"))
+    nonneg = rnorm_search(v, pair, SearchConfig(sign_mode="nonneg"))
+    return signed, nonneg, signed.estimate > nonneg.estimate + 1e-6
 
 
 def witness_lower_bound(v: Variety, pair: ExponentPair) -> float:
@@ -558,12 +552,7 @@ def suf2_check(d: int, pair: ExponentPair) -> tuple[Fraction, bool]:
 # Off-origin diagnostic split
 
 
-def suf1_diagnostic(
-    v: Variety,
-    M: np.ndarray,
-    r: Exponent,
-    normalize_p: Optional[Exponent] = None,
-) -> tuple[float, float, float]:
+def suf1_diagnostic(v: Variety, M: np.ndarray, r: Exponent) -> tuple[float, float, float]:
     """Split the off-origin r-th power sum into zero-radius and rest parts.
 
     Returns (L, R, Mterm) where, summing over x in V minus the origin and
@@ -572,18 +561,11 @@ def suf1_diagnostic(
         L     uses the full profile,
         R     only the zero-radius coefficient,
         Mterm only the nonzero-radius coefficients.
-
-    With ``normalize_p`` set, the profile is first scaled to unit L^p norm
-    of its lift (the normalization under which the diagnostic is read).
     """
     if r == math.inf:
         raise ValueError("diagnostic needs finite r")
     ctx = v.ctx
     M = _profile(ctx, M)
-    if normalize_p is not None:
-        n = profile_lp_norm(ctx, M, normalize_p)
-        if n > 0:
-            M = M / n
     rows = _class_rows(v, r)[int(v.contains_zero):]
     rf = float(r)
     scale = float(ctx.q ** (ctx.d - 1)) / v.cardinality

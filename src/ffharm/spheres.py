@@ -8,18 +8,18 @@ set.  ``sphere_ft_closed`` evaluates the exponential-sum expression
 
 with G the Gauss sum at parameter 1, K the Kloosterman sum and S the
 Salie sum.  ``verify_closed_form`` compares the two routes exhaustively;
-agreement over all (j, x) is the correctness certificate for the closed
-route, which the restriction machinery then relies on for speed.  Its
-brute-force side is ``_line_pair_chunks``: exact integer counts over
-pairs of lines through the origin, every radius at once.  Its oracles
-are ``sphere_ft_counted`` (exact counts of the dots m . x, one x per
-line, one radius at a time) and, behind that, ``sphere_ft_naive_grid``
-(every term chi(-m . x) on its own).
+agreement within ``CLOSED_FORM_TOL`` = 1e-6 at every (j, x) is the
+correctness certificate for the closed route, which the restriction
+machinery then relies on for speed.  Its brute-force side is
+``_line_pair_chunks``: exact integer counts over pairs of lines through
+the origin, every radius at once.  Its oracles are ``sphere_ft_counted``
+(exact counts of the dots m . x, one x per line, one radius at a time)
+and, behind that, ``sphere_ft_naive_grid`` (every term chi(-m . x) on
+its own).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -27,6 +27,9 @@ import numpy as np
 from . import expsums, fourier
 from .errors import DimensionMismatch, RoundingMismatch
 from .field import FieldCtx, eta, inv, norm_form
+
+# how far a closed-form value may sit from its brute-force twin or its integer
+CLOSED_FORM_TOL = 1e-6
 
 
 class Sphere:
@@ -306,20 +309,18 @@ def sphere_ft_closed_grid(ctx: FieldCtx, j: int) -> np.ndarray:
     return out
 
 
-def sphere_count_closed(ctx: FieldCtx, j: int, tol: float = 1e-6) -> int:
+def sphere_count_closed(ctx: FieldCtx, j: int) -> int:
     """Sphere cardinality recovered from the closed form at x = 0."""
     value = sphere_ft_closed(ctx, j, [0] * ctx.d)
     nearest = round(value.real)
-    if abs(value - nearest) > tol:
+    if abs(value - nearest) > CLOSED_FORM_TOL:
         raise RoundingMismatch(
-            f"closed-form count {value} is not within {tol} of an integer"
+            f"closed-form count {value} is not within {CLOSED_FORM_TOL} of an integer"
         )
     return int(nearest)
 
 
-def verify_closed_form(
-    ctx: FieldCtx, tol: float = 1e-6
-) -> tuple[float, tuple[int, tuple[int, ...]] | None]:
+def verify_closed_form(ctx: FieldCtx) -> tuple[float, tuple[int, tuple[int, ...]] | None]:
     """Exhaustive brute-force-vs-closed comparison over all j and all x.
 
     The brute-force side is ``_line_pair_chunks``, every radius at once;
@@ -327,15 +328,13 @@ def verify_closed_form(
     one kernel table, built once, at the norm of each x.  No q x q^d table
     is held.  Returns the maximum absolute discrepancy (NaN if any value is
     NaN) and the first (j, x), smallest j first and then x in lex order,
-    whose error is not at most ``tol`` (None when every point agrees), so a
-    NaN anywhere is a failure.  ``tol`` must be finite and > 0.  Raises
-    ``TooLarge`` when q^(2d-1) exceeds ``GRID_BUDGET``: about the number of
-    (m, x) pairs its oracle ``sphere_ft_counted`` visits, where this route
-    visits about q^(2d-2) pairs of lines.
+    whose error is not at most ``CLOSED_FORM_TOL`` (None when every point
+    agrees), so a NaN anywhere is a failure.  Raises ``TooLarge`` when
+    q^(2d-1) exceeds ``GRID_BUDGET``: about the number of (m, x) pairs its
+    oracle ``sphere_ft_counted`` visits, where this route visits about
+    q^(2d-2) pairs of lines.
     """
     ctx.check_budget(2 * ctx.d - 1)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol}")
     by_norm = np.ascontiguousarray(sphere_ft_kernel(ctx).T)  # [t, j]
     norms = ctx.grid_norms()
     worst = []
@@ -346,8 +345,8 @@ def verify_closed_form(
         err -= brute
         np.abs(err, out=err)
         worst.append(err.max())
-        if not worst[-1] <= tol:
-            bad = ~(err <= tol)
+        if not worst[-1] <= CLOSED_FORM_TOL:
+            bad = ~(err <= CLOSED_FORM_TOL)
             first = np.minimum(first, np.where(bad, flat[:, None], ctx.size).min(axis=0))
     bad_j = np.flatnonzero(first < ctx.size)
     first_bad = None

@@ -47,7 +47,7 @@ def test_01_closed_form_oracle_equivalence():
     bad = []
     for q in (3, 5, 7):
         for d in (2, 3, 4, 5):
-            max_err, first_bad = verify_closed_form(FieldCtx(q, d), tol=1e-6)
+            max_err, first_bad = verify_closed_form(FieldCtx(q, d))
             worst = max(worst, max_err)
             if first_bad is not None:
                 bad.append((q, d, first_bad))

@@ -32,7 +32,6 @@ from ffharm.cli import (
     ScanSpec,
     _scan_row,
     build_parser,
-    cmd_ft_selftest,
     cmd_restrict_scan,
     cmd_sum,
     cmd_verify_lemma1,
@@ -59,6 +58,17 @@ def test_sum_rejects_composite_q():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("q,a,b", [(7, 0, 0), (11, 0, 0), (7, 7, 14)])
+def test_sum_refuses_kloosterman_at_a_and_b_zero(capsys, q, a, b):
+    # K(0, 0) = q - 1: no bound holds there, so there is nothing to check
+    with pytest.raises(SystemExit) as info:
+        main(["sum", "kloosterman", "--q", str(q), "--a", str(a), "--b", str(b)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("ffharm sum: error: kloosterman needs --a or --b nonzero mod q\n")
+
+
 def test_sum_requires_b_for_kloosterman(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sum", "kloosterman", "--q", "3", "--a", "1"])
@@ -77,6 +87,15 @@ def test_sum_requires_b_for_kloosterman(capsys):
         (
             ["salie", "--a", "1", "--b", "2"],
             "+0.000000+3.299198i  |S|=3.299198 <= 2*sqrt(q)=5.291503  PASS",
+        ),
+        # one of a, b zero mod q is in the Weil bound's range; Salie at (0, 0) is 0
+        (
+            ["kloosterman", "--a", "0", "--b", "1"],
+            "-1.000000+0.000000i  |K|=1.000000 <= 2*sqrt(q)=5.291503  PASS",
+        ),
+        (
+            ["salie", "--a", "0", "--b", "0"],
+            "+0.000000+0.000000i  |S|=0.000000 <= 2*sqrt(q)=5.291503  PASS",
         ),
     ],
 )
@@ -114,11 +133,12 @@ def test_verify_lemma1_catches_tampered_gauss(monkeypatch, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6", "x"])
 def test_verify_lemma1_bad_tol_exits_2(tol, capsys):
+    # the tolerance is fixed (spheres.CLOSED_FORM_TOL), so any --tol is refused
     with pytest.raises(SystemExit) as info:
         main(["sphere", "verify-lemma1", "--q", "3", "--d", "2", "--tol", tol])
     assert info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "--tol" in captured.err
+    assert captured.out == "" and "error: unrecognized arguments: --tol" in captured.err
 
 
 def test_verify_lemma1_checks_every_budget_before_any_pair(monkeypatch, capsys):
@@ -271,11 +291,22 @@ def test_restrict_region_zero_denominator_is_a_usage_error(capsys, p, r):
     assert "zero denominator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["15e-1", "1E1", "3e0", "1.5"])
+def test_restrict_region_refuses_scientific_and_decimal_exponents(capsys, p):
+    with pytest.raises(SystemExit) as info:
+        main(["restrict", "region", "--d", "3", "--p", p, "--r", "2"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"exponents are a/b fractions, integers or inf, got {p!r}" in captured.err
+
+
 def test_ft_selftest(capsys):
-    assert main(["ft", "selftest", "--q", "3", "--d", "2", "--trials", "3"]) == 0
+    assert main(["ft", "selftest", "--q", "3", "--d", "2"]) == 0
     assert capsys.readouterr().out.count("PASS") == 3
 
 
+# the trial count is fixed, so any --trials is refused like a negative seed
 @pytest.mark.parametrize("extra", [["--trials", "0"], ["--trials", "-1"], ["--seed", "-1"]])
 def test_ft_selftest_bad_count_or_seed_exits_2(monkeypatch, capsys, extra):
     def no_sums(*args):
@@ -288,13 +319,6 @@ def test_ft_selftest_bad_count_or_seed_exits_2(monkeypatch, capsys, extra):
     assert "PASS" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_cmd_ft_selftest_rejects_a_bad_count_before_any_output(capsys, trials):
-    with pytest.raises(ValueError, match="trials"):
-        cmd_ft_selftest(5, 2, trials=trials)
-    assert capsys.readouterr().out == ""
-
-
 def test_ft_selftest_catches_a_wrong_fast_transform(monkeypatch, capsys):
     real = fourier.ft_fast
 
@@ -304,13 +328,13 @@ def test_ft_selftest_catches_a_wrong_fast_transform(monkeypatch, capsys):
         return GridFunction(f.ctx, values, Side.DualNormalized)
 
     monkeypatch.setattr(fourier, "ft_fast", off_by_one_entry)
-    assert main(["ft", "selftest", "--q", "5", "--d", "2", "--trials", "3"]) == 1
+    assert main(["ft", "selftest", "--q", "5", "--d", "2"]) == 1
     out = capsys.readouterr().out
     assert re.search(r"^fast vs naive: max rel err \S+\s+FAIL$", out, re.M)
 
 
 def test_ft_selftest_takes_every_naive_transform_in_one_pass(monkeypatch, capsys):
-    q, d, trials, seed = 5, 2, 4, 7
+    q, d, trials, seed = 5, 2, ffharm.cli._SELFTEST_TRIALS, 7
     real = fourier.character_sums
     passes = []
 
@@ -320,7 +344,7 @@ def test_ft_selftest_takes_every_naive_transform_in_one_pass(monkeypatch, capsys
 
     monkeypatch.setattr(fourier, "character_sums", recording)
     argv = ["ft", "selftest", "--q", str(q), "--d", str(d)]
-    assert main(argv + ["--trials", str(trials), "--seed", str(seed)]) == 0
+    assert main(argv + ["--seed", str(seed)]) == 0
     monkeypatch.undo()
     (batched,) = passes
     assert batched.shape == (q**d, trials)
@@ -452,6 +476,8 @@ def test_cmd_sum_direct(capsys):
     for kind in ("kloosterman", "salie"):
         with pytest.raises(ValueError, match=f"^{kind} requires --b$"):
             cmd_sum(kind, 7, 1)
+    with pytest.raises(ValueError, match="nonzero mod q"):
+        cmd_sum("kloosterman", 7, -7, 0)
     assert capsys.readouterr().out == ""
 
 
@@ -475,6 +501,7 @@ def test_non_integer_sphere_radius_exits_2(capsys):
     assert "sphere radius" in capsys.readouterr().err
 
 
+# the first is refused at parsing: the search always runs q + 5 starts
 _BAD_REQUESTS = [
     ["--p", "3/2", "--r", "2", "--starts", "0"],
     ["--p", "inf", "--r", "2"],
@@ -562,10 +589,10 @@ def _split(*lines):
 _LEAF_LINES = _split(
     "sum kloosterman --q 3 --a 1 --b 1",
     "sum gauss --q 5 --a 1",
+    "sum kloosterman --q 7 --a 0 --b 0",
     "sphere count --q 3 --d 2 --j 1",
     "sphere ft --q 3 --d 2 --j 1 --x 1,1",
     "sphere verify-lemma1 --q 3,10007 --d 2,3",
-    "sphere verify-lemma1 --q 3 --d 2 --tol 1e-6",
     "sphere verify-lemma1 --q 3,5,7,11,13,17 --d 2,3",
     "sphere verify-lemma1 --q 3,5,7,11 --d 4",
     "sphere verify-lemma1 --q 13 --d 4",
@@ -589,8 +616,8 @@ _LEAF_LINES = _split(
     "restrict scan --method exact22 --variety paraboloid --d 3 --q 1009 --p 2 --r 2 --out x.csv",
     "restrict scan --method search --sign-mode nonneg --variety paraboloid --d 3 --q 1009"
     " --p 3/2 --r 2 --out x.csv",
-    "ft selftest --q 3 --d 2 --trials 3",
-    "ft selftest --q 5 --d 2 --trials 4 --seed 7",
+    "ft selftest --q 3 --d 2",
+    "ft selftest --q 5 --d 2 --seed 7",
     "ft selftest --q 13 --d 3 --seed 2",
 )
 
@@ -634,15 +661,15 @@ _USAGE = {
     "sum": "[-h] --q Q --a A [--b B] {gauss,kloosterman,salie}",
     "sphere count": "[-h] --q Q --d D --j J",
     "sphere ft": "[-h] --q Q --d D --j J --x X",
-    "sphere verify-lemma1": "[-h] --q Q --d D [--tol TOL]",
+    "sphere verify-lemma1": "[-h] --q Q --d D",
     "variety info": "[-h] --q Q --d D --variety VARIETY",
     "variety intersect": "[-h] --q Q --d D --variety VARIETY",
     "restrict norm": "[-h] --d D --variety VARIETY --p P --r R [--method {search,exact22,witness}]"
-    " [--starts STARTS] [--seed SEED] [--sign-mode {signed,nonneg}] --q Q",
+    " [--seed SEED] [--sign-mode {signed,nonneg}] --q Q",
     "restrict scan": "[-h] --d D --variety VARIETY --p P --r R [--method {search,exact22,witness}]"
-    " [--starts STARTS] [--seed SEED] [--sign-mode {signed,nonneg}] --q Q --out OUT",
+    " [--seed SEED] [--sign-mode {signed,nonneg}] --q Q --out OUT",
     "restrict region": "[-h] --d D --p P --r R",
-    "ft selftest": "[-h] --q Q --d D [--trials TRIALS] [--seed SEED]",
+    "ft selftest": "[-h] --q Q --d D [--seed SEED]",
 }
 
 

@@ -41,6 +41,7 @@ from ffharm.restriction import (
     _starts,
     _tied,
     _weighted_norm,
+    parse_exponent,
 )
 
 F = Fraction
@@ -66,6 +67,21 @@ def test_exponent_pair_rejects_bad_values():
         ExponentPair.parse("1.5", "2")
     with pytest.raises(ValueError):
         ExponentPair(2.0, F(2))  # floats other than inf are ambiguous
+
+
+@pytest.mark.parametrize("text", ["15e-1", "1E1", "3e0", "1.5", "3/2e0", "0x3", "3_0"])
+def test_parse_exponent_takes_only_fractions_integers_and_inf(text):
+    with pytest.raises(ValueError, match="exponents are a/b fractions, integers or inf"):
+        parse_exponent(text)
+
+
+def test_parse_exponent_values_and_messages():
+    assert parse_exponent(" 3/2 ") == F(3, 2) and parse_exponent("+2") == F(2)
+    assert parse_exponent("Inf") == math.inf
+    with pytest.raises(ValueError, match=">= 1"):
+        parse_exponent("-3/2")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_exponent("3/0")
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +480,6 @@ def test_search_rejects_bad_config():
     with pytest.raises(ValueError):
         rnorm_search(v, ExponentPair(math.inf, F(2)))
     with pytest.raises(ValueError):
-        rnorm_search(v, ExponentPair(F(2), F(2)), SearchConfig(starts=0))
-    with pytest.raises(ValueError):
         rnorm_search(v, ExponentPair(F(2), F(2)), SearchConfig(sign_mode="both"))
 
 
@@ -559,7 +573,7 @@ _search_exponents = _exponents.filter(lambda x: x > 1)
     st.sampled_from([None, 0, 1, 5, 9]),
 )
 def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed, extra):
-    # starts in {1, q, q + 1, q + 5, q + 9}
+    # starts in {1, q, q + 1, q + 5, q + 9}; rnorm_search runs the q + 5
     q, d, name = case
     n_starts = 1 if extra is None else q + extra
     v = build_variety(FieldCtx(q, d), name)
@@ -571,10 +585,12 @@ def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed
     A, sizes = _search_inputs(v, pair)
     vanishing = _vanishing_starts(v, n_starts)
     values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
-    rep = rnorm_search(v, pair, SearchConfig(starts=n_starts, seed=seed, sign_mode=sign_mode))
-    best = int(np.argmax(values))
-    assert rep.estimate == values[best] and np.array_equal(rep.profile, profiles[best])
-    assert rep.iterations == steps.sum() and rep.capped == capped == 0
+    assert capped == 0
+    if extra == 5:
+        rep = rnorm_search(v, pair, SearchConfig(seed=seed, sign_mode=sign_mode))
+        best = int(np.argmax(values))
+        assert rep.estimate == values[best] and np.array_equal(rep.profile, profiles[best])
+        assert rep.iterations == steps.sum() and rep.capped == capped
 
     want_values, want_steps = _one_start_runs(A, sizes, pf, rf, M0, nonneg)
     # Two kinds of start end wherever rounding sends them in the one-start
@@ -685,6 +701,31 @@ def test_constant_start_off_the_origin_is_0_after_0_steps(case, sign_mode):
     assert np.array_equal(values[rest], alone[0]) and np.array_equal(steps[rest], alone[2])
     rep = rnorm_search(v, pair, SearchConfig(sign_mode=sign_mode))
     assert rep.estimate == values.max() and rep.iterations == steps.sum()
+
+
+@pytest.mark.parametrize(
+    "case", [(5, 3, "paraboloid"), (5, 3, "poly:x1*x2-1")], ids=["origin", "no-origin"]
+)
+@pytest.mark.parametrize("sign_mode", ["signed", "nonneg"])
+@pytest.mark.parametrize("p,r,seed", [(F(3, 2), F(2), 0), (F(3), F(3, 2), 3)], ids=["a", "b"])
+def test_search_runs_the_fixed_q_plus_5_starts(case, sign_mode, p, r, seed):
+    # every delta, the constant, then 4 seeded draws; the constant is
+    # masked on the variety without the origin
+    q, d, name = case
+    v = build_variety(FieldCtx(q, d), name)
+    assert v.contains_zero == (name == "paraboloid")
+    pair = ExponentPair(p, r)
+    nonneg = sign_mode == "nonneg"
+    A, sizes = _search_inputs(v, pair)
+    M0 = _starts(q, q + 5, seed, nonneg)
+    values, profiles, steps, capped = _power_method(
+        A, sizes, float(p), float(r), M0, nonneg, _vanishing_starts(v, q + 5)
+    )
+    best = int(np.argmax(values))
+    rep = rnorm_search(v, pair, SearchConfig(seed=seed, sign_mode=sign_mode))
+    assert rep.estimate == values[best] and np.array_equal(rep.profile, profiles[best])
+    assert rep.iterations == steps.sum() and rep.capped == capped
+    assert (rep.seed, rep.sign_mode) == (seed, sign_mode)
 
 
 def test_power_method_does_not_overflow_on_a_large_matrix():
@@ -982,18 +1023,6 @@ def test_suf1_zero_radius_term_bound():
     assert R <= bound + 1e-9
     assert Mterm == 0.0
     assert abs(L - R) < 1e-12
-
-
-def test_suf1_normalization_flag():
-    ctx = FieldCtx(5, 3)
-    v = build_variety(ctx, "paraboloid")
-    rng = np.random.default_rng(2)
-    M = 7.0 * rng.random(5)
-    p = F(3, 2)
-    direct = suf1_diagnostic(v, M, F(2), normalize_p=p)
-    manual = M / profile_lp_norm(ctx, M, p)
-    expected = suf1_diagnostic(v, manual, F(2))
-    assert np.allclose(direct, expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("case", _VARIETIES)

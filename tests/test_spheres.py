@@ -274,12 +274,12 @@ def test_lines_cover_every_nonzero_x_once(q, d):
 # verify_closed_form against the per-j loop it replaced
 
 
-def _verify_per_j(ctx, tol=1e-6):
+def _verify_per_j(ctx):
     """The per-j loop verify_closed_form ran before the counted route.
 
     It compares the term-by-term brute force with a closed-form grid whose
     kernel table is rebuilt for every j.  Only its failure rule is the new
-    one: an error that is not at most tol (NaN included) fails.
+    one: an error that is not at most CLOSED_FORM_TOL (NaN included) fails.
     """
     errors = []
     first_bad = None
@@ -288,7 +288,7 @@ def _verify_per_j(ctx, tol=1e-6):
         closed = sphere_ft_closed_grid(ctx, j)
         err = np.abs(naive - closed)
         errors.append(err.max())
-        bad = ~(err <= tol)
+        bad = ~(err <= ffharm.spheres.CLOSED_FORM_TOL)
         if first_bad is None and bad.any():
             first_bad = (j, tuple(int(c) for c in ctx.grid_points()[int(np.argmax(bad))]))
     return float(np.max(errors)), first_bad
@@ -337,12 +337,6 @@ def test_tampered_kernel_fails_both_routes_at_the_same_point(case, seed, kind):
         assert abs(max_err - 1e-3) < 1e-9 and abs(want_err - 1e-3) < 1e-9
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
-def test_verify_rejects_tol_that_is_not_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="tol"):
-        verify_closed_form(FieldCtx(3, 2), tol=tol)
-
-
 def test_verify_fails_on_a_nan_brute_force_value(monkeypatch):
     # a NaN on the brute-force side is a failure too, never a pass
     real_chunks = ffharm.spheres._line_pair_chunks
@@ -354,7 +348,7 @@ def test_verify_fails_on_a_nan_brute_force_value(monkeypatch):
 
     monkeypatch.setattr(ffharm.spheres, "_line_pair_chunks", with_nan)
     ctx = FieldCtx(3, 2)
-    max_err, first_bad = verify_closed_form(ctx, tol=1.0)
+    max_err, first_bad = verify_closed_form(ctx)
     assert math.isnan(max_err)
     assert first_bad == (2, tuple(int(c) for c in ctx.grid_points()[7]))
 
@@ -374,7 +368,7 @@ def test_first_bad_is_the_smallest_j_then_the_first_x(monkeypatch):
     monkeypatch.setattr(ffharm.fourier, "NAIVE_BUDGET", 1)
     monkeypatch.setattr(ffharm.spheres, "_line_pair_chunks", with_errors)
     ctx = FieldCtx(5, 3)
-    max_err, first_bad = verify_closed_form(ctx, tol=0.5)
+    max_err, first_bad = verify_closed_form(ctx)
     assert abs(max_err - 1.0) < 1e-9
     assert first_bad == (2, (1, 3, 0))
 
