@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fourier
-from .errors import FFHarmError
+from .errors import FFHarmError, ZeroParameter
 from .expsums import gauss, kloosterman, salie
 from .field import FieldCtx, is_odd_prime
 from .restriction import (
@@ -131,15 +131,15 @@ def _exponent(text: str):
 def cmd_sum(kind: str, q: int, a: int, b: Optional[int] = None) -> int:
     """Print one sum and check its bound; an unknown kind, no b for a
     Kloosterman or Salie sum, or a Kloosterman sum with a = b = 0 mod q,
-    where no bound holds (the sum is q - 1), raises ``ValueError`` before
-    any output."""
+    where no bound holds (the sum is q - 1), raises ``ValueError``, and a
+    Gauss sum with a = 0 mod q ``ZeroParameter``, before any output."""
     if kind not in _SUM_KINDS:
         raise ValueError(f"unknown sum kind {kind!r}")
     if kind != "gauss" and b is None:
         raise ValueError(f"{kind} requires --b")
+    ctx = FieldCtx(q, 2)
     if kind == "kloosterman" and a % q == b % q == 0:
         raise ValueError("kloosterman needs --a or --b nonzero mod q")
-    ctx = FieldCtx(q, 2)
     if kind == "gauss":
         value = gauss(ctx, a)
         bound, bound_label = math.sqrt(q), "sqrt(q)"
@@ -161,7 +161,7 @@ def cmd_sum(kind: str, q: int, a: int, b: Optional[int] = None) -> int:
 def _run_sum(args) -> int:
     try:
         return cmd_sum(args.kind, args.q, args.a, args.b)
-    except ValueError as e:
+    except (ValueError, ZeroParameter) as e:
         args.parser.error(str(e))
 
 
@@ -202,8 +202,8 @@ def cmd_verify_lemma1(q_list: Sequence[int], d_list: Sequence[int]) -> int:
     Every pair's budget is checked before any pair runs: a request with
     one pair whose q^(2d-1), the budget in brute-force pairs that
     ``verify_closed_form`` keeps, exceeds ``GRID_BUDGET`` raises
-    ``TooLarge`` with nothing printed.  An
-    empty or repeated list of q or d raises ``ValueError`` up front too.
+    ``TooLarge`` with nothing printed.  An empty or repeated list of q or
+    d raises ``ValueError`` up front too.
     """
     for name, values in (("q", q_list), ("d", d_list)):
         if not values or len(set(values)) < len(values):
@@ -286,14 +286,10 @@ def _report_for(v, pair, method, seed, sign_mode) -> RestrictionReport:
     if method == "search":
         return rnorm_search(v, pair, SearchConfig(seed=seed, sign_mode=sign_mode))
     if method == "exact22":
-        sigma = rnorm_exact_22(v)
-        return RestrictionReport(
-            v.label, v.ctx.q, v.ctx.d, pair, "Exact22", sigma, 0, seed
-        )
-    value = witness_lower_bound(v, pair)  # _check_request admits no other method
-    return RestrictionReport(
-        v.label, v.ctx.q, v.ctx.d, pair, "Witness", value, 0, seed
-    )
+        name, value = "Exact22", rnorm_exact_22(v)
+    else:  # _check_request admits no other method
+        name, value = "Witness", witness_lower_bound(v, pair)
+    return RestrictionReport(v.label, v.ctx.q, v.ctx.d, pair, name, value, 0, seed)
 
 
 def _run_restrict_norm(args) -> int:

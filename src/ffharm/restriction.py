@@ -17,11 +17,11 @@ for the two inside the power method's loop, which come from the same
 singular value, by one dense symmetric eigensolve); ``rnorm_search``
 lower-bounds the general case by the multi-start nonlinear power method
 for p -> r norms (Boyd 1974; Higham 1992), its fixed q + 5 starts
-iterated together in real arithmetic, the signed ones as real and
-imaginary parts: by Holder's inequality no step lowers the ratio, and a
-start stops when a step no longer raises it by more than 1e-13
-relative; and ``witness_lower_bound`` evaluates the cheap closed-form
-witnesses.
+iterated together in real arithmetic, a real start as one row and a
+complex one as two, its real and imaginary parts: by Holder's inequality
+no step lowers the ratio, and a start stops when a step no longer raises
+it by more than 1e-13 relative; and ``witness_lower_bound`` evaluates
+the cheap closed-form witnesses.
 
 Exponent pairs are exact fractions throughout, so region membership and
 the rational exponent gates never see floating point.
@@ -271,17 +271,22 @@ def _starts(q: int, n_starts: int, seed: int, nonneg: bool) -> np.ndarray:
     return np.vstack([structured, random])[:n_starts]
 
 
-def _duality(x: np.ndarray, x2: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """psi_s(x) = |x|^(s-2) x, taking 0 to 0, and |x|^s, by one power of x2 = |x|^2.
+def _duality(x: np.ndarray, m: int, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """psi_s(x) = |x|^(s-2) x, taking 0 to 0, written over x, and |x|^s.
 
-    The parts of each entry (real, or real and imaginary) run along x's first
-    axis, and x2 sums their squares.  The power is 1 at s = 2 and skipped.
+    x has a row per start, then a row for the imaginary part of each of the
+    first m starts.  |x|^2 and its one power, skipped at s = 2, are per start.
     """
+    n = len(x) - m
+    x2 = np.square(x[:n])
+    x2[:m] += np.square(x[n:])
     if s == 2.0:
         return x, x2
     e = (s - 2.0) / 2.0  # 0^e = 0 for e > 0, so only e < 0 needs the mask
     w = x2**e if e > 0 else np.power(x2, e, out=np.zeros_like(x2), where=x2 > 0)
-    return w * x, w * x2
+    x[:n] *= w
+    x[n:] *= w[:m]
+    return x, w * x2
 
 
 def _power_method(
@@ -304,63 +309,66 @@ def _power_method(
     from it alone would take, up to rounding.  Starts flagged in the
     boolean mask ``vanishing`` have A M = 0 in exact arithmetic: they get
     the value 0 after 0 steps, since a run from them would follow rounding
-    noise.  A must be real: the loop holds the profiles as one float64
-    array (parts, starts, q), real and imaginary parts when signed, so each
-    product is one real matrix product, and ``_duality`` gives both norms.
+    noise.  A must be real, and so is each product: the live profiles are
+    one float64 array, a row per start (the m complex ones first), then a
+    row per imaginary part of those m; ``_duality`` gives both norms.
     """
     if np.iscomplexobj(A):
         raise TypeError("the power method iterates on real rows")
     At, A_sized = A.T, A / sizes  # the rows of A^H / |S|
-    pc = pf / (pf - 1.0)
-    out = np.array([M0.real] if nonneg else [M0.real, M0.imag], dtype=np.float64)
-    out /= _weighted_norm(M0, sizes, pf)[:, None]
+    real = ~(M0.imag != 0).any(axis=1)
+    norms = _weighted_norm(M0.real, sizes, pf)
+    norms[~real] = _weighted_norm(M0[~real], sizes, pf)
+    out = np.array([M0.real, M0.imag]) / norms[:, None]  # the profiles returned, by part
     keep = np.ones(len(M0), dtype=bool) if vanishing is None else ~vanishing
     values, steps = np.zeros(len(M0)), np.where(keep, _POWER_STEPS, 0)
-    live = np.flatnonzero(keep)  # the start behind each row of M
-
-    def product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """X B for each part and start of X, as one real matrix product."""
-        parts, rows, cols = X.shape
-        return (X.reshape(parts * rows, cols) @ B).reshape(parts, rows, B.shape[1])
+    live = np.r_[np.flatnonzero(keep & ~real), np.flatnonzero(keep & real)]  # row i's start
+    m = int((keep & ~real).sum())  # the complex starts, whose imaginary rows come last
 
     def measure(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """psi_r(A M) and ||A M||_r for each start of M."""
-        G = product(M, At)
-        psi, g_r = _duality(G, np.square(G).sum(axis=0), rf)
+        psi, g_r = _duality(M @ At, m, rf)
         return psi, g_r.sum(axis=1) ** (1.0 / rf)
 
     def leave(gone: np.ndarray, M: np.ndarray, value: np.ndarray, k: int) -> None:
         """Record profile, value and steps of the live starts flagged in gone."""
         if gone.any():
-            i = live[gone]
-            out[:, i], values[i], steps[i] = M[:, gone], value[gone], k
+            i, n = live[gone], len(live)
+            out[0, i], values[i], steps[i] = M[:n][gone], value[gone], k
+            out[1, live[:m][gone[:m]]] = M[n:][gone[:m]]
 
-    M = out.compress(keep, axis=1)
+    M = np.vstack([out[0, live], out[1, live[:m]]])
     psi, value = measure(M)
     for k in range(_POWER_STEPS):
         if live.size == 0:
             break
-        Y = product(psi, A_sized)  # row i is A^H psi_r(A M_i) / |S|
+        Y = psi @ A_sized  # row i is A^H psi_r(A M_i) / |S|
         if nonneg:
             np.clip(Y, 0.0, None, out=Y)
-        top = np.abs(Y).max(axis=(0, 2))
-        moving = top > 0  # else A M = 0, or no ascent direction on the cone
+        top = np.abs(Y).max(axis=1)  # then the larger of the two rows of a complex start
+        top[:m] = top[len(live):] = np.maximum(top[:m], top[len(live):])
+        moving = top[:len(live)] > 0  # else A M = 0, or no ascent direction on the cone
         if not moving.all():
             leave(~moving, M, value, k)
-            live, M, value = live[moving], M.compress(moving, axis=1), value[moving]
-            Y, top = Y.compress(moving, axis=1), top[moving]
-        # the scale of each row drops out; dividing by its top avoids overflow
-        Y /= top[:, None]
-        cand, y_pc = _duality(Y, np.square(Y).sum(axis=0), pc)  # |psi_p'(Y)|^p = |Y|^p'
-        cand /= ((y_pc @ sizes) ** (1.0 / pf))[:, None]
+            rows = np.concatenate([moving, moving[:m]])
+            live, M, value, Y, top = live[moving], M[rows], value[moving], Y[rows], top[rows]
+            m = int(moving[:m].sum())
+        Y /= top[:, None]  # the scale of each start drops out; dividing avoids overflow
+        cand, y_pc = _duality(Y, m, pf / (pf - 1.0))  # |psi_p'(Y)|^p = |Y|^p'
+        scale = (y_pc @ sizes) ** (1.0 / pf)
+        cand /= np.concatenate([scale, scale[:m]])[:, None]
         cand_psi, cand_value = measure(cand)
         up = cand_value > value
         gain = np.divide(cand_value - value, value, out=np.zeros(len(value)), where=up)
         more = gain > 1e-13
-        leave(~up, M, value, k + 1)  # keeps the profile it had
-        leave(up & ~more, cand, cand_value, k + 1)  # keeps the new profile
-        live, M, value = live[more], cand.compress(more, axis=1), cand_value[more]
-        psi = cand_psi.compress(more, axis=1)
+        if not more.all():  # rows are copied only when a start leaves
+            leave(~up, M, value, k + 1)  # keeps the profile it had
+            leave(up & ~more, cand, cand_value, k + 1)  # keeps the new profile
+            rows = np.concatenate([more, more[:m]])
+            live, cand, cand_psi = live[more], cand[rows], cand_psi[rows]
+            cand_value = cand_value[more]
+            m = int(more[:m].sum())
+        M, psi, value = cand, cand_psi, cand_value
     leave(np.ones(live.size, dtype=bool), M, value, _POWER_STEPS)
     return values, out[0] if nonneg else out[0] + 1j * out[1], steps, int(live.size)
 
@@ -378,12 +386,9 @@ def rnorm_search(
     Every value returned is certified: it is the ratio achieved by an
     explicit profile, hence a true lower bound of the norm.  The q + 5
     starts (the q deltas, the constant, then 4 seeded random profiles, in
-    that order) iterate together, one row each of a starts x q profile
-    matrix, so every step is one matrix product per side for all starts
-    still running.  Each start stops on its own rule and leaves the batch
-    then, so it follows the path a run from it alone would take, up to
-    rounding.  Ties keep the earliest start, so the result is
-    deterministic given the seed.
+    that order) iterate together in ``_power_method``, each stopping on its
+    own rule.  Ties keep the earliest start, so the result is deterministic
+    given the seed.
 
     Each start iterates M <- psi_p'(A^H psi_r(A M) / |S|), rescaled to the
     unit weighted-p ball, with psi_s(x) = |x|^(s-2) x.  By Holder's
@@ -432,8 +437,7 @@ def rnorm_search(
     M0 = _starts(q, q + 5, config.seed, nonneg)
     # the constant profile (row q) transforms to a point mass at the origin,
     # so A M = 0 exactly on a variety without 0
-    vanishing = np.zeros(q + 5, dtype=bool)
-    vanishing[q] = not v.contains_zero
+    vanishing = (np.arange(q + 5) == q) & (not v.contains_zero)
     values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
     best = int(np.argmax(values))  # the first maximum: ties keep the earliest start
     return RestrictionReport(

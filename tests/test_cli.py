@@ -23,6 +23,7 @@ from ffharm import (
     Side,
     TooLarge,
     Variety,
+    ZeroParameter,
     build_variety,
     rnorm_search,
     verify_closed_form,
@@ -67,6 +68,20 @@ def test_sum_refuses_kloosterman_at_a_and_b_zero(capsys, q, a, b):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("ffharm sum: error: kloosterman needs --a or --b nonzero mod q\n")
+
+
+@pytest.mark.parametrize("q,a", [(7, 0), (11, 0), (7, -14)])
+def test_sum_refuses_gauss_at_a_zero(monkeypatch, capsys, q, a):
+    # the sum is 0 there, and |G| = sqrt(q) is stated for a != 0
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as info:
+        main(["sum", "gauss", "--q", str(q), "--a", str(a)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage: ffharm sum {_USAGE['sum']}\nffharm sum: error: Gauss sum requires a != 0\n"
+    )
 
 
 def test_sum_requires_b_for_kloosterman(capsys):
@@ -478,6 +493,8 @@ def test_cmd_sum_direct(capsys):
             cmd_sum(kind, 7, 1)
     with pytest.raises(ValueError, match="nonzero mod q"):
         cmd_sum("kloosterman", 7, -7, 0)
+    with pytest.raises(ZeroParameter, match="^Gauss sum requires a != 0$"):
+        cmd_sum("gauss", 7, 7)
     assert capsys.readouterr().out == ""
 
 
@@ -590,6 +607,7 @@ _LEAF_LINES = _split(
     "sum kloosterman --q 3 --a 1 --b 1",
     "sum gauss --q 5 --a 1",
     "sum kloosterman --q 7 --a 0 --b 0",
+    "sum gauss --q 7 --a 0",
     "sphere count --q 3 --d 2 --j 1",
     "sphere ft --q 3 --d 2 --j 1 --x 1,1",
     "sphere verify-lemma1 --q 3,10007 --d 2,3",

@@ -324,16 +324,20 @@ def _duality_map(x, s):
 
 @pytest.mark.parametrize("s", [1.0, 6 / 5, 3 / 2, 2.0, 3.0, 6.0])
 def test_psi_matches_the_masked_duality_map(s):
-    # the power method's psi_s, on the real and imaginary parts stacked
+    # the power method's psi_s on its rows: one per start, the m complex
+    # starts first, then a row for the imaginary part of each of those
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     x[0, :3] = 0
     x[1, 5] = 1e-150  # its square 1e-300 is still a normal float
-    for values in (x, x.real.copy()):
-        parts = np.array([values.real, values.imag])
-        psi, power = _duality(parts, np.square(parts).sum(axis=0), s)
+    x[2] = x[2].real
+    for values, m in ((x, 2), (x.real.copy(), 0)):
+        rows = np.vstack([values.real, values.imag[:m]])
+        psi, power = _duality(rows, m, s)
+        assert psi is rows  # written over its input
+        got = psi[:3] + 1j * np.vstack([psi[3:], np.zeros((3 - m, 8))])
         want = _duality_map(values, s)
-        assert np.all(np.abs(psi[0] + 1j * psi[1] - want) <= 4e-15 * np.abs(want))
+        assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
         assert np.all(np.abs(power - np.abs(values) ** s) <= 4e-15 * np.abs(values) ** s)
 
 
@@ -592,6 +596,13 @@ def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed
         assert rep.estimate == values[best] and np.array_equal(rep.profile, profiles[best])
         assert rep.iterations == steps.sum() and rep.capped == capped
 
+    _assert_matches_one_start_runs(v, pair, M0, nonneg, vanishing, values, steps, seed)
+
+
+def _assert_matches_one_start_runs(v, pair, M0, nonneg, vanishing, values, steps, seed):
+    """Values and steps of _power_method from M0 against _ascend's, start by start."""
+    A, sizes = _search_inputs(v, pair)
+    pf, rf = float(pair.p), float(pair.r)
     want_values, want_steps = _one_start_runs(A, sizes, pf, rf, M0, nonneg)
     # Two kinds of start end wherever rounding sends them in the one-start
     # loop, so the batched run need not agree with it there:
@@ -638,6 +649,41 @@ def test_batched_power_method_matches_one_start_runs(case, p, r, sign_mode, seed
         assert abs(got[best] - kept[want_best]) <= tol
         # the chosen start is the one-start loop's, unless the two are tied within roundoff
         assert best == want_best or abs(kept[best] - kept[want_best]) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(_VARIETIES), _search_exponents, _exponents,
+    st.sampled_from(["signed", "nonneg"]), st.integers(0, 2**32 - 1),
+)
+def test_power_method_does_not_depend_on_the_order_of_its_starts(case, p, r, sign_mode, seed):
+    # the loop puts the complex starts' rows first whatever the order of M0;
+    # here M0's real and complex starts alternate, each kind shuffled
+    q, d, name = case
+    v = build_variety(FieldCtx(q, d), name)
+    pair = ExponentPair(p, r)
+    pf, rf = float(p), float(r)
+    nonneg = sign_mode == "nonneg"
+    A, sizes = _search_inputs(v, pair)
+    M0 = _starts(q, q + 5, seed, nonneg)
+    vanishing = _vanishing_starts(v, q + 5)
+    is_real = (M0.imag == 0).all(axis=1)
+    assert is_real.sum() == (q + 5 if nonneg else q + 1)
+    rng = np.random.default_rng(seed)
+    real, cplx = rng.permutation(np.flatnonzero(is_real)), rng.permutation(np.flatnonzero(~is_real))
+    order = np.concatenate([np.column_stack([real[:len(cplx)], cplx]).ravel(), real[len(cplx):]])
+    assert sorted(order) == list(range(q + 5))
+    base = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
+    M0, vanishing, is_real = M0[order], vanishing[order], is_real[order]
+    values, profiles, steps, capped = _power_method(A, sizes, pf, rf, M0, nonneg, vanishing)
+    assert np.array_equal(values, base[0][order]) and np.array_equal(steps, base[2][order])
+    assert np.array_equal(profiles, base[1][order]) and capped == base[3]
+    _assert_matches_one_start_runs(v, pair, M0, nonneg, vanishing, values, steps, seed)
+    if not nonneg:
+        # a real start stays real under both maps, in the batch and alone
+        assert np.all(profiles[is_real].imag == 0)
+        for M in M0[is_real]:
+            assert np.all(_ascend(A, sizes, pf, rf, M, nonneg)[1].imag == 0)
 
 
 # the search workload's rows: the d = 3 paraboloid at (3/2, 2), the d = 4 one at (8/5, 2)
