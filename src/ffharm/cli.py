@@ -345,22 +345,12 @@ def _scan_row(spec: ScanSpec, q: int) -> str:
     v = build_variety(ctx, spec.variety)
     inter = zero_sphere_intersection(v)
     rep = _report_for(v, spec.pair, spec.method, spec.seed, spec.sign_mode)
-    fields = [
-        str(q),
-        str(spec.d),
-        v.label,
-        str(spec.pair.p),  # str(math.inf) is "inf"
-        str(spec.pair.r),
-        rep.method,
-        rep.sign_mode,
-        _fmt(rep.estimate),
-        str(rep.iterations),
-        str(rep.seed),
-        str(v.cardinality),
-        str(inter.count),
+    fields = [  # the columns of _CSV_HEADER; str(math.inf) is "inf"
+        q, spec.d, v.label, spec.pair.p, spec.pair.r, rep.method, rep.sign_mode,
+        _fmt(rep.estimate), rep.iterations, rep.seed, v.cardinality, inter.count,
         _fmt(inter.threshold),
     ]
-    return ",".join(fields)
+    return ",".join(map(str, fields))
 
 
 def fit_loglog_slope(qs: Sequence[int], values: Sequence[float]) -> float:

@@ -14,7 +14,7 @@ the sphere kernel is.  Every norm is taken with ``_weighted_norm``, but
 for the two inside the power method's loop, which come from the same
 |x|^2 as its duality maps (``_duality``); it is their test oracle.
 ``rnorm_exact_22`` solves the Euclidean case p = r = 2 exactly (top
-singular value, by one dense symmetric eigensolve); ``rnorm_search``
+singular value, by one eigensolve on the class rows' Gram); ``rnorm_search``
 lower-bounds the general case by the multi-start nonlinear power method
 for p -> r norms (Boyd 1974; Higham 1992), its fixed q + 5 starts
 iterated together in real arithmetic, a real start as one row and a
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import EmptyVariety, UnsupportedDimension
 from .field import FieldCtx
 from .fourier import GridFunction, Side
-from .spheres import sphere_ft_kernel, sphere_sizes
+from .spheres import _kernel_at, sphere_ft_kernel, sphere_sizes
 from .varieties import Variety
 
 Exponent = Union[Fraction, float]  # a Fraction >= 1, or math.inf
@@ -204,19 +204,20 @@ def _class_rows(v: Variety, r: Exponent) -> np.ndarray:
     the scaling, the plain r-norm of A M over these rows is the
     L^r(V, dsigma) norm of the restricted transform.  The origin row, when 0
     is in V, comes first (class size 1).  At r = inf the exponent 1/r is 0,
-    so the rows are unscaled and their max is the max over V.
+    so the rows are unscaled and their max is the max over V.  The rows are
+    gathered from the kernel's columns at those classes: no q x q table.
     """
     if v.cardinality == 0:
         raise EmptyVariety(f"variety {v.label} has no points")
     ctx = v.ctx
-    kernel = sphere_ft_kernel(ctx)
     counts = v.radius_counts.copy()
     counts[0] -= int(v.contains_zero)  # the origin is on S_0
     present = np.nonzero(counts)[0]
-    rows, weights = kernel[:, present].T, counts[present]
+    weights = counts[present]
     if v.contains_zero:
-        rows = np.vstack([kernel[:, 0] + ctx.q ** (ctx.d - 1), rows])
-        weights = np.concatenate([[1], weights])
+        present, weights = np.r_[0, present], np.r_[1, weights]
+    rows = _kernel_at(ctx, np.arange(ctx.q), present[:, None])
+    rows[0] += ctx.q ** (ctx.d - 1) * v.contains_zero  # the delta at x = 0, if 0 is in V
     e = 1.0 / float(r)
     return rows * (weights**e)[:, None] / v.cardinality**e
 
@@ -228,15 +229,15 @@ def _class_rows(v: Variety, r: Exponent) -> np.ndarray:
 def rnorm_exact_22(v: Variety) -> float:
     """The exact p = r = 2 restriction ratio over radial profiles.
 
-    This is the largest singular value of the measure-weighted radial
-    matrix.  Its square is the top eigenvalue of the q x q Gram matrix
-    B^T B of the class rows (``_class_rows(v, 2)``, which carry the
-    measure) scaled by |S_j|^{-1/2} per radius.  The rows are real, so one
-    dense real symmetric eigensolve gives it; the SVD of the full |V| x q
+    This is the top singular value of B, the class rows (``_class_rows(v,
+    2)``, which carry the measure) scaled by |S_j|^{-1/2} per radius.  Its
+    square is the top eigenvalue of the C x C Gram matrix B B^T of the real
+    C <= q + 1 rows, which has the nonzero spectrum of the q x q B^T B, by
+    one dense real symmetric eigensolve.  The SVD of the full |V| x q
     weighted ``radial_matrix`` is its test oracle.
     """
     B = _class_rows(v, 2) / np.sqrt(sphere_sizes(v.ctx))
-    lam = float(np.linalg.eigvalsh(B.T @ B)[-1])
+    lam = float(np.linalg.eigvalsh(B @ B.T)[-1])
     return math.sqrt(max(lam, 0.0))
 
 

@@ -7,15 +7,16 @@ set.  ``sphere_ft_closed`` evaluates the exponential-sum expression
     q^{d-1} delta_0(x) + q^{-1} G^d * S(-j, -||x||/4)   (d odd)
 
 with G the Gauss sum at parameter 1, K the Kloosterman sum and S the
-Salie sum.  ``verify_closed_form`` compares the two routes exhaustively;
-agreement within ``CLOSED_FORM_TOL`` = 1e-6 at every (j, x) is the
-correctness certificate for the closed route, which the restriction
-machinery then relies on for speed.  Its brute-force side is
-``_line_pair_chunks``: exact integer counts over pairs of lines through
-the origin, every radius at once.  Its oracles are ``sphere_ft_counted``
-(exact counts of the dots m . x, one x per line, one radius at a time)
-and, behind that, ``sphere_ft_naive_grid`` (every term chi(-m . x) on
-its own).
+Salie sum.  Off the origin it depends on x only through t = ||x||, and
+its q x q table over (j, t) is gathered from the rows j = 0 and 1 in
+O(q^2) (``_kernel_at``).  ``verify_closed_form`` compares the two routes
+exhaustively; agreement within ``CLOSED_FORM_TOL`` = 1e-6 at every
+(j, x) certifies the closed route, which the restriction machinery then
+relies on for speed.  Its brute-force side is ``_line_pair_chunks``:
+exact integer counts over pairs of lines through the origin, every
+radius at once.  Its oracles are ``sphere_ft_counted`` (exact counts of
+the dots m . x, one x per line, one radius at a time) and, behind that,
+``sphere_ft_naive_grid`` (every term chi(-m . x) on its own).
 """
 
 from __future__ import annotations
@@ -258,10 +259,7 @@ def _closed_tail(ctx: FieldCtx, j: int, t: int) -> complex:
     G = expsums.gauss(ctx, 1)
     a = (-j) % q
     b = (-inv(ctx, 4 % q) * t) % q
-    if ctx.d % 2 == 0:
-        tw = expsums.kloosterman(ctx, a, b)
-    else:
-        tw = expsums.salie(ctx, a, b)
+    tw = (expsums.kloosterman if ctx.d % 2 == 0 else expsums.salie)(ctx, a, b)
     return (G**ctx.d) * tw / q
 
 
@@ -277,34 +275,45 @@ def sphere_ft_closed(ctx: FieldCtx, j: int, x: Sequence[int]) -> complex:
     return value
 
 
+def _kernel_at(ctx: FieldCtx, j, t) -> np.ndarray:
+    """K[j, t] of ``sphere_ft_kernel`` at index arrays j, t in 0..q-1, broadcast together.
+
+    Rows 0 and 1 are sums over u in F_q^* of G^d / q chi(-j s) chi(u t),
+    times eta(s) for odd d, with s = -u^{-1} / 4.  As chi(-u t) is the
+    conjugate of chi(u t), pairing u with -u makes them one real product
+    of inner size q - 1 over u = 1..(q - 1)/2, O(q^2).  Other rows are
+    gathers: K(a, b) depends only on ab and S(a, b) = eta(a) S(1, ab)
+    (Iwaniec-Kowalski, *Analytic Number Theory*, 12.3), so
+    K[j, t] = K[1, jt] for j != 0, times eta(j) for odd d.
+    """
+    q, half, chi = ctx.q, (ctx.q - 1) // 2, ctx.chi_values
+    twist = ctx.eta_values if ctx.d % 2 == 1 else np.ones(q, dtype=np.int64)
+    s = -ctx.inv_table[4 * np.arange(1, q) % q] % q  # s at u = 1, ..., q - 1
+    w = expsums.gauss(ctx, 1) ** ctx.d / q * twist[s] * chi[-np.outer([0, 1], s) % q]
+    # the weights at u and -u are conjugate in exact arithmetic, as K is real;
+    # adding both, not doubling one, cancels the rounding that moves G^d off its axis
+    w = w[:, :half] + w[:, : half - 1 : -1].conj()
+    u_t = np.outer(np.arange(1, half + 1), np.arange(q)) % q
+    row0, row1 = np.hstack([w.real, -w.imag]) @ np.vstack([chi.real[u_t], chi.imag[u_t]])
+    values = row1[j * t % q]
+    values *= twist[j]
+    np.copyto(values, row0[t], where=j == 0)
+    return values
+
+
 def sphere_ft_kernel(ctx: FieldCtx) -> np.ndarray:
     """The real q x q table K[j, t] of the non-delta closed form at ||x|| = t.
 
-    Away from the origin the closed form depends on x only through its
-    quadratic norm.  Writing the Kloosterman (or, for odd d, Salie) sum as
-    a sum over s in F_q^* of chi(-j s) chi(-t s^{-1} / 4) turns the whole
-    table into one matrix product K = G^d / q * J T.  K is real, since
-    S_j = -S_j, so it is formed as Re(J' T) = Re J' Re T - Im J' Im T with
-    J' = G^d / q * J: one float64 product of inner size 2(q - 1), read off
-    the cosine and sine parts of the character table.  The complex
-    ``_closed_tail`` is its scalar oracle.
+    K is real, since S_j = -S_j, and gathered from its rows 0 and 1 in
+    O(q^2) (``_kernel_at``).  The complex ``_closed_tail`` is its scalar oracle.
     """
-    q = ctx.q
-    s = np.arange(1, q)
-    chi = ctx.chi_values
-    scaled = expsums.gauss(ctx, 1) ** ctx.d / q * chi
-    j_index = (-np.outer(np.arange(q), s)) % q
-    j_part = np.hstack([scaled.real[j_index], -scaled.imag[j_index]])
-    if ctx.d % 2 == 1:
-        j_part *= np.tile(ctx.eta_values[s], 2)
-    quarter = (-inv(ctx, 4 % q) * ctx.inv_table[1:]) % q
-    t_index = np.outer(quarter, np.arange(q)) % q
-    return j_part @ np.vstack([chi.real[t_index], chi.imag[t_index]])
+    field = np.arange(ctx.q)
+    return _kernel_at(ctx, field[:, None], field)
 
 
 def sphere_ft_closed_grid(ctx: FieldCtx, j: int) -> np.ndarray:
     """Closed-form transform at every dual point, lex order."""
-    out = sphere_ft_kernel(ctx)[j % ctx.q][ctx.grid_norms()]
+    out = _kernel_at(ctx, j % ctx.q, np.arange(ctx.q))[ctx.grid_norms()]
     out[0] += ctx.q ** (ctx.d - 1)  # flat index 0 is the origin
     return out
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ffharm import FieldCtx, ZeroParameter, gauss, kloosterman, salie
@@ -41,6 +42,20 @@ def test_salie_examples():
     assert abs(salie(FieldCtx(3, 2), 1, 1) - (-1j * math.sqrt(3))) < 1e-12
     assert abs(salie(FieldCtx(3, 2), 0, 0)) < 1e-12
     assert abs(salie(FieldCtx(7, 2), 2, 5)) <= 2 * math.sqrt(7) + 1e-6
+
+
+@pytest.mark.parametrize("q", [p for p in range(3, 102) if is_odd_prime(p)])
+def test_salie_matches_its_evaluation_at_the_square_roots(q):
+    # for a != 0, S(a, b) = eta(a) G sum_{y^2 = ab} chi(2y), G the Gauss sum at 1
+    ctx = FieldCtx(q, 2)
+    G = gauss(ctx, 1)
+    y = np.arange(q)
+    squares = y * y % q
+    for a in range(1, q):
+        for b in range(q):
+            roots = y[squares == a * b % q]
+            third = ctx.eta_values[a] * G * ctx.chi_values[2 * roots % q].sum()
+            assert abs(salie(ctx, a, b) - third) < 1e-12
 
 
 @pytest.mark.parametrize("q", PRIMES_TO_61)

@@ -284,6 +284,23 @@ def test_class_weighted_objective_matches_radial_matrix(case, r, seed):
     assert abs(classes - full) <= 1e-9 * max(full, 1e-300)
 
 
+@pytest.mark.parametrize("q,d,name", _VARIETIES)
+@pytest.mark.parametrize("r", [F(3, 2), F(2), math.inf])
+def test_class_rows_are_scaled_columns_of_the_dense_kernel(q, d, name, r, dense_kernel):
+    v = build_variety(FieldCtx(q, d), name)
+    dense = dense_kernel(v.ctx)
+    e = 1.0 / float(r)
+    norms = v.ctx.grid_norms()[v.flat[int(v.contains_zero):]]
+    classes, counts = np.unique(norms, return_counts=True)
+    want = dense[:, classes].T * ((counts / v.cardinality) ** e)[:, None]
+    if v.contains_zero:
+        origin = (dense[:, 0] + q ** (d - 1)) / v.cardinality**e
+        want = np.vstack([origin, want])
+    rows = _class_rows(v, r)
+    assert rows.shape == want.shape
+    assert np.abs(rows - want).max() <= 1e-13 * np.abs(dense).max()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(_VARIETIES), _exponents, _exponents, st.integers(0, 1000))
 def test_search_dominates_witness_bound(case, p, r, seed):

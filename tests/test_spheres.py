@@ -25,7 +25,7 @@ from ffharm import (
     sphere_sizes,
     verify_closed_form,
 )
-from ffharm.field import cyclic_convolve
+from ffharm.field import cyclic_convolve, is_odd_prime
 from ffharm.spheres import _class_table, _closed_tail, _line_pair_chunks, _lines, _pair_class
 
 
@@ -184,6 +184,41 @@ def test_kernel_is_the_real_part_of_the_closed_tail(q, d):
     _check_kernel_rows(FieldCtx(q, d), range(q) if q < 1009 else [1])
 
 
+_PRIMES_TO_211 = [q for q in range(3, 212) if is_odd_prime(q)]
+
+
+@pytest.mark.parametrize("q", _PRIMES_TO_211)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_kernel_matches_the_dense_product(q, d, dense_kernel):
+    # rows 0 and 1 and a gather against every row by one O(q^3) product
+    ctx = FieldCtx(q, d)
+    K, dense = sphere_ft_kernel(ctx), dense_kernel(ctx)
+    assert K.dtype == np.float64 and K.shape == (q, q)
+    assert np.abs(K - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 101, 211])
+@pytest.mark.parametrize("d", [3, 5])
+def test_odd_kernel_vanishes_where_jt_is_a_nonsquare(q, d):
+    # S(a, b) = eta(a) G sum_{y^2 = ab} chi(2y) is 0 when ab is a nonsquare
+    ctx = FieldCtx(q, d)
+    K = sphere_ft_kernel(ctx)
+    field = np.arange(q)
+    nonsquare = ctx.eta_values[np.outer(field, field) % q] == -1
+    assert nonsquare.sum() == (q - 1) ** 2 // 2
+    assert np.abs(K[nonsquare]).max() < 1e-13 * np.abs(K).max()
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 3), (7, 4), (11, 3), (13, 5)])
+def test_closed_grid_is_the_kernel_row_at_each_norm(q, d, dense_kernel):
+    ctx = FieldCtx(q, d)
+    dense = dense_kernel(ctx)
+    for j in range(-1, q):
+        want = dense[j % q][ctx.grid_norms()]
+        want[0] += q ** (d - 1)
+        assert np.abs(sphere_ft_closed_grid(ctx, j) - want).max() <= 1e-13 * np.abs(dense).max()
+
+
 @pytest.mark.parametrize("q,d", [(1009, 8), (1009, 7), (211, 9)])
 def test_sphere_sizes_refuse_int64_overflow(q, d):
     # q^d >= 2^63: |S_0| at (1009, 8) is 1064726746914215548801, past int64
@@ -278,14 +313,17 @@ def _verify_per_j(ctx):
     """The per-j loop verify_closed_form ran before the counted route.
 
     It compares the term-by-term brute force with a closed-form grid whose
-    kernel table is rebuilt for every j.  Only its failure rule is the new
-    one: an error that is not at most CLOSED_FORM_TOL (NaN included) fails.
+    kernel table is rebuilt for every j, read through the module attribute
+    ``ffharm.spheres.sphere_ft_kernel`` as ``verify_closed_form`` reads it.
+    Only its failure rule is the new one: an error that is not at most
+    CLOSED_FORM_TOL (NaN included) fails.
     """
     errors = []
     first_bad = None
     for j in range(ctx.q):
         naive = sphere_ft_naive_grid(enumerate_sphere(ctx, j))
-        closed = sphere_ft_closed_grid(ctx, j)
+        closed = ffharm.spheres.sphere_ft_kernel(ctx)[j][ctx.grid_norms()]
+        closed[0] += ctx.q ** (ctx.d - 1)  # the origin
         err = np.abs(naive - closed)
         errors.append(err.max())
         bad = ~(err <= ffharm.spheres.CLOSED_FORM_TOL)
