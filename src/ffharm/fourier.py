@@ -4,8 +4,9 @@ The function side carries counting measure (sums), the dual side the
 normalized counting measure (averages).  ``ft_naive`` applies the full
 q^d x q^d character kernel; ``ft_fast`` factors the kernel through the d
 axes, one size-q matrix per axis, which is the whole asymptotic win
-(O(d q^{d+1}) instead of O(q^{2d})).  Size-q FFTs are pointless at desk
-scale, so each axis stage is a plain matrix product.
+(O(d q^{d+1}) instead of O(q^{2d})).  Each stage is a plain matrix product:
+``numpy.fft.fftn`` took 156 against 93 us at (13, 3) and 2.9 against 1.7 ms
+at (31, 3) (interleaved medians, one OpenBLAS thread, 2 vCPUs, numpy 2.4.6).
 
 ``character_sums`` is the one brute-force loop behind ``ft_naive`` and
 ``spheres.sphere_ft_naive_grid``.  It still forms every term chi(-m . x)

@@ -379,6 +379,12 @@ def _tied(values: np.ndarray) -> int:
     return int((values >= values.max() * (1.0 - 1e-9)).sum())
 
 
+def _indicator_ratios(A: np.ndarray, sizes, pair: ExponentPair) -> Union[float, np.ndarray]:
+    """||a||_r / n^(1/p), the ratio of the indicator of n points whose class
+    rows sum to a: per column a of A with n from sizes, or for a 1-D A."""
+    return _weighted_norm(A.T, np.ones(len(A)), pair.r) / sizes ** (1.0 / float(pair.p))
+
+
 def rnorm_search(
     v: Variety, pair: ExponentPair, config: Optional[SearchConfig] = None
 ) -> RestrictionReport:
@@ -428,7 +434,7 @@ def rnorm_search(
     nonneg = config.sign_mode == "nonneg"
 
     if pair.p == 1:
-        values = _weighted_norm(A.T, np.ones(len(A)), pair.r) / sizes
+        values = _indicator_ratios(A, sizes, pair)  # the single spheres
         j = int(np.argmax(values))
         return RestrictionReport(
             v.label, q, ctx.d, pair, "MultiStart", float(values[j]), 0,
@@ -470,10 +476,8 @@ def witness_lower_bound(v: Variety, pair: ExponentPair) -> float:
     """
     ctx = v.ctx
     A = _class_rows(v, pair.r)
-    ip = 1.0 / float(pair.p)  # 0 at p = inf
-    ones = np.ones(len(A))
-    spheres = _weighted_norm(A.T, ones, pair.r) / sphere_sizes(ctx) ** ip
-    constant = _weighted_norm(A.sum(axis=1), ones, pair.r) / float(ctx.size) ** ip
+    spheres = _indicator_ratios(A, sphere_sizes(ctx), pair)
+    constant = _indicator_ratios(A.sum(axis=1), float(ctx.size), pair)  # F_q^d, every sphere
     return float(max(spheres.max(), constant))
 
 

@@ -8,14 +8,14 @@ set.  ``sphere_ft_closed`` evaluates the exponential-sum expression
 
 with G the Gauss sum at parameter 1, K the Kloosterman sum and S the
 Salie sum.  Off the origin it depends on x only through t = ||x||, and
-its q x q table over (j, t) is gathered from the rows j = 0 and 1 in
-O(q^2) (``_kernel_at``).  ``verify_closed_form`` compares the two routes
-exhaustively; agreement within ``CLOSED_FORM_TOL`` = 1e-6 at every
-(j, x) certifies the closed route, which the restriction machinery then
-relies on for speed.  Its brute-force side is ``_line_pair_chunks``:
-exact integer counts over pairs of lines through the origin, every
-radius at once.  Its oracles are ``sphere_ft_counted`` (exact counts of
-the dots m . x, one x per line, one radius at a time) and, behind that,
+its q x q table over (j, t) is gathered from the rows j = 0 and 1, one
+inverse DFT in O(q log q) time and O(q) temporaries (``_kernel_at``).
+``verify_closed_form`` compares the two routes exhaustively; agreement
+within ``CLOSED_FORM_TOL`` = 1e-6 at every (j, x) certifies the closed
+route, which the restriction machinery relies on.  Its brute-force side
+``_line_pair_chunks`` counts pairs of lines through the origin exactly,
+every radius at once; its oracles are ``sphere_ft_counted`` (exact counts
+of the dots m . x, one radius at a time) and, behind that,
 ``sphere_ft_naive_grid`` (every term chi(-m . x) on its own).
 """
 
@@ -156,8 +156,7 @@ def sphere_ft_counted(sphere: Sphere) -> np.ndarray:
     reps, line_flat = _lines(ctx)
     span = d * (q - 1) + 1  # dots lie in [0, span)
     chi_line = ctx.chi_values[-np.outer(np.arange(span), np.arange(1, q)) % q]
-    axis = np.arange(q, dtype=np.int64)
-    tables = [(np.outer(axis, m[:, i]) % q).astype(np.int32) for i in range(d)]
+    tables = [(np.outer(np.arange(q), m[:, i]) % q).astype(np.int32) for i in range(d)]
     chunk = max(1, fourier.NAIVE_BUDGET // len(m))  # S_j is never empty for d >= 2
     for lo in range(0, len(reps), chunk):
         rows = reps[lo : lo + chunk]
@@ -232,8 +231,7 @@ def _line_pair_chunks(ctx: FieldCtx) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     lookup = _pair_class(ctx, field[:, None], field)[:, np.arange(span) % q].ravel()  # [n span + dot]
     table = _class_table(ctx)
     keys = ((reps * reps).sum(axis=1) % q * span).astype(np.int32)  # ||m'|| span
-    axis = np.arange(q, dtype=np.int64)
-    tables = [(np.outer(axis, reps[:, i]) % q).astype(np.int32) for i in range(d)]
+    tables = [(np.outer(np.arange(q), reps[:, i]) % q).astype(np.int32) for i in range(d)]
     tables[0] += keys
     origin = np.bincount(lookup[keys], minlength=q + 3) @ table  # every dot is 0
     origin[0] += 1  # m = 0
@@ -278,23 +276,19 @@ def sphere_ft_closed(ctx: FieldCtx, j: int, x: Sequence[int]) -> complex:
 def _kernel_at(ctx: FieldCtx, j, t) -> np.ndarray:
     """K[j, t] of ``sphere_ft_kernel`` at index arrays j, t in 0..q-1, broadcast together.
 
-    Rows 0 and 1 are sums over u in F_q^* of G^d / q chi(-j s) chi(u t),
-    times eta(s) for odd d, with s = -u^{-1} / 4.  As chi(-u t) is the
-    conjugate of chi(u t), pairing u with -u makes them one real product
-    of inner size q - 1 over u = 1..(q - 1)/2, O(q^2).  Other rows are
-    gathers: K(a, b) depends only on ab and S(a, b) = eta(a) S(1, ab)
-    (Iwaniec-Kowalski, *Analytic Number Theory*, 12.3), so
-    K[j, t] = K[1, jt] for j != 0, times eta(j) for odd d.
+    Row j = 0, 1 is sum_u w_j[u] chi(u t), q times the inverse DFT of w_j,
+    one ``numpy.fft`` call in O(q log q) time and O(q) temporaries, with
+    w_j[u] = G^d / q chi(-j s), times eta(s) for odd d, s = -u^{-1} / 4 and
+    w_j[0] = 0.  Other rows are gathers: K(a, b) depends only on ab and
+    S(a, b) = eta(a) S(1, ab) (Iwaniec-Kowalski, *Analytic Number Theory*,
+    12.3), so K[j, t] = K[1, jt] for j != 0, times eta(j) for odd d.
     """
-    q, half, chi = ctx.q, (ctx.q - 1) // 2, ctx.chi_values
+    q = ctx.q
     twist = ctx.eta_values if ctx.d % 2 == 1 else np.ones(q, dtype=np.int64)
-    s = -ctx.inv_table[4 * np.arange(1, q) % q] % q  # s at u = 1, ..., q - 1
-    w = expsums.gauss(ctx, 1) ** ctx.d / q * twist[s] * chi[-np.outer([0, 1], s) % q]
-    # the weights at u and -u are conjugate in exact arithmetic, as K is real;
-    # adding both, not doubling one, cancels the rounding that moves G^d off its axis
-    w = w[:, :half] + w[:, : half - 1 : -1].conj()
-    u_t = np.outer(np.arange(1, half + 1), np.arange(q)) % q
-    row0, row1 = np.hstack([w.real, -w.imag]) @ np.vstack([chi.real[u_t], chi.imag[u_t]])
+    s = -ctx.inv_table[4 * np.arange(q) % q] % q  # s at u = 0, ..., q - 1
+    w = expsums.gauss(ctx, 1) ** ctx.d * twist[s] * ctx.chi_values[-np.outer([0, 1], s) % q]
+    w[:, 0] = 0
+    row0, row1 = np.fft.ifft(w).real  # adds the terms at u and -u, conjugate up to rounding
     values = row1[j * t % q]
     values *= twist[j]
     np.copyto(values, row0[t], where=j == 0)
@@ -304,8 +298,8 @@ def _kernel_at(ctx: FieldCtx, j, t) -> np.ndarray:
 def sphere_ft_kernel(ctx: FieldCtx) -> np.ndarray:
     """The real q x q table K[j, t] of the non-delta closed form at ||x|| = t.
 
-    K is real, since S_j = -S_j, and gathered from its rows 0 and 1 in
-    O(q^2) (``_kernel_at``).  The complex ``_closed_tail`` is its scalar oracle.
+    K is real, since S_j = -S_j, and gathered from its two computed rows
+    (``_kernel_at``).  The complex ``_closed_tail`` is its scalar oracle.
     """
     field = np.arange(ctx.q)
     return _kernel_at(ctx, field[:, None], field)

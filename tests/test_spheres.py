@@ -26,7 +26,14 @@ from ffharm import (
     verify_closed_form,
 )
 from ffharm.field import cyclic_convolve, is_odd_prime
-from ffharm.spheres import _class_table, _closed_tail, _line_pair_chunks, _lines, _pair_class
+from ffharm.spheres import (
+    _class_table,
+    _closed_tail,
+    _kernel_at,
+    _line_pair_chunks,
+    _lines,
+    _pair_class,
+)
 
 
 def test_enumeration_examples():
@@ -174,11 +181,11 @@ def test_kernel_matches_scalar_closed_tail(q, d):
 
 
 # d = 2..5, q = 1 (mod 4) and q = 3 (mod 4), where G^d is real or imaginary;
-# one row at q = 1009, where a row of the scalar oracle takes 0.2 s
+# one row at q = 1009 in both branches, where a row of the scalar oracle takes 0.2 s
 @pytest.mark.parametrize(
     "q,d",
     [(7, 3), (11, 2), (13, 4), (17, 5), (19, 3), (29, 2), (31, 4), (37, 3), (41, 4), (43, 5)]
-    + [(1009, 3)],
+    + [(1009, 3), (1009, 4)],
 )
 def test_kernel_is_the_real_part_of_the_closed_tail(q, d):
     _check_kernel_rows(FieldCtx(q, d), range(q) if q < 1009 else [1])
@@ -197,7 +204,7 @@ def test_kernel_matches_the_dense_product(q, d, dense_kernel):
     assert np.abs(K - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 101, 211])
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 101, 211, 1009])
 @pytest.mark.parametrize("d", [3, 5])
 def test_odd_kernel_vanishes_where_jt_is_a_nonsquare(q, d):
     # S(a, b) = eta(a) G sum_{y^2 = ab} chi(2y) is 0 when ab is a nonsquare
@@ -473,3 +480,18 @@ def test_verify_holds_no_table_over_every_x():
         tracemalloc.stop()
     assert first_bad is None and max_err < 1e-12
     assert peak < 16e6
+
+
+def test_kernel_rows_hold_no_q_by_q_table():
+    # a (q - 1)/2 x q index table and its gathers at (2003, 3) would take 80 MB
+    import tracemalloc
+
+    ctx = FieldCtx(2003, 3)
+    tracemalloc.start()
+    try:
+        row = _kernel_at(ctx, 1, np.arange(ctx.q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (ctx.q,)
+    assert peak < 1e6
