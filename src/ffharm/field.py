@@ -31,6 +31,20 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
+def _primitive_root(q: int) -> int:
+    """The least generator of F_q^*, q an odd prime: g^((q-1)/f) != 1 for each prime f dividing q - 1."""
+    n, f, factors = q - 1, 2, []
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        factors.append(n)
+    return next(g for g in range(2, q) if all(pow(g, (q - 1) // f, q) != 1 for f in factors))
+
+
 class FieldCtx:
     """Arithmetic context for F_q^d with q an odd prime and d >= 2.
 
@@ -48,8 +62,19 @@ class FieldCtx:
             raise ValueError(f"dimension d must be >= 2, got {d}")
         self.q = q
         self.d = d
+        # a^-1 = g^(q-1-k) at a = g^k: g^k for k < q - 1 as the b x b table of
+        # g^(b i + k), b^2 >= q - 1, from one outer product of two columns of powers
+        g, b = _primitive_root(q), math.isqrt(q - 2) + 1
+        low = [1]
+        for _ in range(b):
+            low.append(low[-1] * g % q)
+        high = [1]
+        for _ in range(b - 1):
+            high.append(high[-1] * low[-1] % q)
+        powers = (np.multiply.outer(high, low[:-1]) % q).ravel()[: q - 1]
         inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = [pow(a, q - 2, q) for a in range(1, q)]
+        inv[powers[1:]] = powers[:0:-1]
+        inv[1] = 1
         inv.setflags(write=False)
         self.inv_table = inv
         eta = -np.ones(q, dtype=np.int64)

@@ -9,7 +9,8 @@ set.  ``sphere_ft_closed`` evaluates the exponential-sum expression
 with G the Gauss sum at parameter 1, K the Kloosterman sum and S the
 Salie sum.  Off the origin it depends on x only through t = ||x||, and
 its q x q table over (j, t) is gathered from the rows j = 0 and 1, one
-inverse DFT in O(q log q) time and O(q) temporaries (``_kernel_at``).
+inverse DFT in O(q log q) time and O(q) temporaries, a block of rows at a
+time, so the table peaks at its own size (``_kernel_at``).
 ``verify_closed_form`` compares the two routes exhaustively; agreement
 within ``CLOSED_FORM_TOL`` = 1e-6 at every (j, x) certifies the closed
 route, which the restriction machinery relies on.  Its brute-force side
@@ -21,6 +22,7 @@ of the dots m . x, one radius at a time) and, behind that,
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -274,14 +276,16 @@ def sphere_ft_closed(ctx: FieldCtx, j: int, x: Sequence[int]) -> complex:
 
 
 def _kernel_at(ctx: FieldCtx, j, t) -> np.ndarray:
-    """K[j, t] of ``sphere_ft_kernel`` at index arrays j, t in 0..q-1, broadcast together.
+    """K[j, t] of ``sphere_ft_kernel`` at index arrays j, t in 0..q-1, broadcast together (at least 1-D).
 
     Row j = 0, 1 is sum_u w_j[u] chi(u t), q times the inverse DFT of w_j,
     one ``numpy.fft`` call in O(q log q) time and O(q) temporaries, with
     w_j[u] = G^d / q chi(-j s), times eta(s) for odd d, s = -u^{-1} / 4 and
     w_j[0] = 0.  Other rows are gathers: K(a, b) depends only on ab and
     S(a, b) = eta(a) S(1, ab) (Iwaniec-Kowalski, *Analytic Number Theory*,
-    12.3), so K[j, t] = K[1, jt] for j != 0, times eta(j) for odd d.
+    12.3), so K[j, t] = K[1, jt] for j != 0, times eta(j) for odd d.  The
+    gather runs over blocks of rows of the result, about 2^16 entries each,
+    so its temporaries take about 1 MB beside the result.
     """
     q = ctx.q
     twist = ctx.eta_values if ctx.d % 2 == 1 else np.ones(q, dtype=np.int64)
@@ -289,9 +293,19 @@ def _kernel_at(ctx: FieldCtx, j, t) -> np.ndarray:
     w = expsums.gauss(ctx, 1) ** ctx.d * twist[s] * ctx.chi_values[-np.outer([0, 1], s) % q]
     w[:, 0] = 0
     row0, row1 = np.fft.ifft(w).real  # adds the terms at u and -u, conjugate up to rounding
-    values = row1[j * t % q]
-    values *= twist[j]
-    np.copyto(values, row0[t], where=j == 0)
+    j, t = np.asarray(j), np.asarray(t)
+    shape = np.broadcast(j, t).shape
+    values = np.empty(shape)
+    step = max(1, 2**16 // math.prod(shape[1:]))
+
+    def rows(a, lo):  # the rows of a that broadcast to values[lo : lo + step]
+        return a[lo : lo + step] if a.ndim == len(shape) and len(a) > 1 else a
+
+    for lo in range(0, len(values), step):
+        jb, tb, out = rows(j, lo), rows(t, lo), values[lo : lo + step]
+        out[...] = row1[jb * tb % q]
+        out *= twist[jb]
+        np.copyto(out, row0[tb], where=jb == 0)
     return values
 
 
@@ -299,7 +313,8 @@ def sphere_ft_kernel(ctx: FieldCtx) -> np.ndarray:
     """The real q x q table K[j, t] of the non-delta closed form at ||x|| = t.
 
     K is real, since S_j = -S_j, and gathered from its two computed rows
-    (``_kernel_at``).  The complex ``_closed_tail`` is its scalar oracle.
+    (``_kernel_at``) with temporaries of about 1 MB, so 8 q^2 bytes and
+    little more at peak.  The complex ``_closed_tail`` is its scalar oracle.
     """
     field = np.arange(ctx.q)
     return _kernel_at(ctx, field[:, None], field)

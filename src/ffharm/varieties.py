@@ -1,22 +1,43 @@
 """Algebraic varieties in the dual grid, defined by one polynomial equation.
 
 Built-ins (paraboloid, plane, sphere of a given radius) and arbitrary
-user polynomials over variables x1..xd share a single code path, which
-counts V by sphere radius without enumerating F_q^d.  The top-level
-additive terms of P split its variables into blocks (variables that share
-a term share a block), so P = sum_B f_B(x_B) + c.  The cyclic convolution
-on Z_q x Z_q of the blocks' tables of (f_B, block norm) pairs is the
-joint histogram of (P - c, ||x||), and its row where P = 0 holds
-|V cap S_t| for every radius t.  The convolution is a product of exact
-2-D discrete Fourier transforms modulo word-size primes p = 1 (mod q),
-one per distinct block, joined by the CRT: a one-variable block costs
-one q x q float64 matrix product per prime, so a separable P such as the
-paraboloid costs O(q^3) per prime at any d.  A block of k >= 2 variables is enumerated on its own, q^k
-points; one block of all d variables costs one evaluation on the grid.
+user polynomials over variables x1..xd.  The restriction routines see V
+only through |V cap S_t| for every radius t, which ``build_variety``
+counts without enumerating F_q^d, by one of two routes chosen by the
+degree of P read off its tree (``_degree``: a product adds degrees, a
+power multiplies them, a sum takes the larger).
 
-The points of V themselves (``Variety.flat``, lex flat indices) come from
-evaluating P by broadcasting over the d coordinate axes, on demand and
-within GRID_BUDGET; they are the test oracle of the counts.
+Degree <= 2, every quadric (the paraboloid, the plane, every sphere, the
+null cone, chained forms such as x1*x2+x2*x3+x3*x4), goes through the
+pencil P + lambda ||x|| (``_pencil_counts``).  Write P = x^T A x + b.x + c;
+summing chi(u P(x) + v (||x|| - t)) over u, v and x, with v = lambda u,
+gives q |V cap S_t| = |S_t| + sum_lambda delta_lambda(lambda t), where
+delta_lambda(s) = #{x : P(x) + lambda ||x|| = s} - q^(d-1) is the classical
+count of a quadratic equation (Lidl-Niederreiter, *Finite Fields*, Thms
+6.26-6.27) from det(A + lambda I) and the constant left after completing
+the square.  It costs O(d^4) integer work, O(dq) to evaluate two
+polynomials in lambda, O(d^3) Python at each of the at most d lambda where
+A + lambda I is singular, and then O(q) for even d, or O(q^2) time in O(q)
+bytes for odd d.
+
+Every other P (x1^3+x2^3-1, x1*x2*x3-1, and a quadric whose terms of
+degree 3 or more cancel) goes through the modular 2-D DFT
+(``_radius_counts``).  The top-level additive terms of P split its
+variables into blocks (variables that share a term share a block), so
+P = sum_B f_B(x_B) + c.  The cyclic convolution on Z_q x Z_q of the
+blocks' tables of (f_B, block norm) pairs is the joint histogram of
+(P - c, ||x||), and its row where P = 0 holds |V cap S_t| for every
+radius t.  The convolution is a product of exact 2-D discrete Fourier
+transforms modulo word-size primes p = 1 (mod q), one per distinct block,
+joined by the CRT: a one-variable block costs one q x q float64 matrix
+product per prime, O(q^3).  A block of k >= 2 variables is enumerated on
+its own, q^k points; one block of all d variables costs one evaluation on
+the grid.
+
+``_radius_counts`` is the pencil's oracle wherever both run.  The points
+of V themselves (``Variety.flat``, lex flat indices) come from evaluating
+P by broadcasting over the d coordinate axes, on demand and within
+GRID_BUDGET; they are the test oracle of both routes.
 
 Polynomial grammar (whitespace-insensitive ASCII):
 
@@ -661,14 +682,237 @@ def _radius_counts(ctx: FieldCtx, expr: PolyExpr) -> np.ndarray:
     return counts
 
 
+# ---------------------------------------------------------------------------
+# Quadrics: the pencil P + lambda ||x||
+
+
+def _degree(expr: PolyExpr) -> int:
+    """The degree of expr read off its tree: a product adds degrees, a power multiplies, a sum takes the larger."""
+    if isinstance(expr, Lit):
+        return 0
+    if isinstance(expr, Var):
+        return 1
+    if isinstance(expr, Neg):
+        return _degree(expr.operand)
+    if isinstance(expr, Pow):
+        return expr.exponent * _degree(expr.base) if expr.exponent else 0
+    if isinstance(expr, Mul):
+        return _degree(expr.left) + _degree(expr.right)
+    return max(_degree(expr.left), _degree(expr.right))
+
+
+def _times(f: dict, g: dict, q: int) -> dict:
+    """The product of two expansions (see ``_expand``)."""
+    out: dict = {}
+    for m1, a1 in f.items():
+        for m2, a2 in g.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = (out.get(m, 0) + a1 * a2) % q
+    return out
+
+
+def _expand(expr: PolyExpr, q: int) -> dict:
+    """expr, of ``_degree`` at most 2, as {monomial: coefficient mod q}.
+
+    A monomial is the sorted tuple of its variables' 0-based axes, () for
+    the constant.  A power of a constant is one modular power, so its
+    exponent may be of any size; any other power has exponent 1 or 2.
+    """
+    if isinstance(expr, Lit):
+        return {(): expr.value % q}
+    if isinstance(expr, Var):
+        return {(expr.index - 1,): 1}
+    if isinstance(expr, Neg):
+        return {m: -a % q for m, a in _expand(expr.operand, q).items()}
+    if isinstance(expr, (Add, Sub)):
+        sign = -1 if isinstance(expr, Sub) else 1
+        out = _expand(expr.left, q)
+        for m, a in _expand(expr.right, q).items():
+            out[m] = (out.get(m, 0) + sign * a) % q
+        return out
+    if isinstance(expr, Mul):
+        return _times(_expand(expr.left, q), _expand(expr.right, q), q)
+    if expr.exponent == 0:
+        return {(): 1}
+    base = _expand(expr.base, q)
+    if base.keys() <= {()}:
+        return {(): pow(base.get((), 0), expr.exponent, q)}
+    return base if expr.exponent == 1 else _times(base, base, q)
+
+
+def _quadric(expr: PolyExpr, d: int, q: int):
+    """(S, b, c) with P(x) = x^T (S/2) x + b.x + c over F_q, or None when ``_degree(expr) > 2``.
+
+    S = 2A is the integer matrix of the quadratic part (its diagonal twice
+    the coefficients of the squares, off the diagonal the coefficients of
+    the cross terms), so no half is taken; entries are reduced mod q.
+    """
+    if _degree(expr) > 2:
+        return None
+    S, b, c = [[0] * d for _ in range(d)], [0] * d, 0
+    for m, a in _expand(expr, q).items():
+        if len(m) == 2:
+            i, j = m
+            S[i][j] += a
+            S[j][i] += a  # the same entry twice when i == j
+        elif m:
+            b[m[0]] = a
+        else:
+            c = a
+    return [[s % q for s in row] for row in S], b, c
+
+
+def _pencil_polys(S, b, q: int) -> np.ndarray:
+    """det(S + mu I) and b^T adj(S + mu I) b mod q: a (2, d + 1) array of coefficients, highest power first.
+
+    Faddeev-LeVerrier over Z on T = -S: M_1 = I, M_{k+1} = T M_k + c_{d-k} I
+    with c_{d-k} = -tr(T M_k) / k, gives det(mu I - T) = sum_k c_k mu^k and
+    adj(mu I - T) = sum_k M_k mu^(d-k).  The divisions by k are exact over
+    Z, so only the coefficients are reduced mod q, and q <= d works too.
+    """
+    d = len(S)
+    T = -np.array(S, dtype=object)
+    b = np.array(b, dtype=object)
+    eye = np.identity(d, dtype=int).astype(object)
+    det, adj, TM = [1], [0], None
+    for k in range(1, d + 1):
+        M = eye if k == 1 else TM + det[-1] * eye
+        adj.append(b @ M @ b)
+        TM = T @ M
+        det.append(-TM.trace() // k)
+    return (np.array([det, adj], dtype=object) % q).astype(np.int64)
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
+    """Each row of coefficients, highest power first, as a polynomial at every x mod q."""
+    out = np.zeros((len(coeffs), len(x)), dtype=np.int64)
+    for a in coeffs.T:
+        out *= x
+        out += a[:, None]
+        out %= q
+    return out
+
+
+def _complete_squares(M, b, c: int, q: int):
+    """x^T M x + b.x + c over F_q as sum_i m_i z_i^2 + kappa in new coordinates.
+
+    M is symmetric, as lists of residues.  Each step completes the square
+    in a variable whose square has a nonzero coefficient m, or, where no
+    square is left but a cross term x_i x_j is, substitutes x_i + x_j for
+    x_i, which puts 2 M[i][j] != 0 (q is odd) on the square of x_j.
+    Returns (the m_i, kappa), the other variables then free, or None when
+    a free variable keeps a nonzero linear coefficient, so that each value
+    is taken on exactly q^(d-1) times.  This is the diagonalization of a
+    quadratic form by congruence (Lidl-Niederreiter, *Finite Fields*, 6.2).
+    """
+    M, b = [row[:] for row in M], b[:]
+    live, diagonal = list(range(len(M))), []
+    while True:
+        k = next((i for i in live if M[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in live for j in live if i < j and M[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            for row in M:
+                row[j] = (row[j] + row[i]) % q
+            M[j] = [(x + y) % q for x, y in zip(M[j], M[i])]
+            b[j] = (b[j] + b[i]) % q
+            k = j
+        m = M[k][k]
+        h = pow(m, -1, q)
+        live.remove(k)
+        for i in live:
+            f = M[i][k] * h % q
+            for j in live:
+                M[i][j] = (M[i][j] - f * M[k][j]) % q
+            b[i] = (b[i] - f * b[k]) % q
+        c = (c - b[k] * b[k] * pow(4 * m, -1, q)) % q
+        diagonal.append(m)
+    if any(b[i] for i in live):
+        return None
+    return diagonal, c
+
+
+def _pencil_counts(ctx: FieldCtx, S, b, c: int) -> np.ndarray:
+    """``|V cap S_t|`` for every t of the quadric P = x^T A x + b.x + c, A = S/2, through the pencil.
+
+    Sum chi(u P(x) + v (||x|| - t)) over u, v and x, and put v = lambda u:
+
+        q |V cap S_t| = |S_t| + sum_lambda delta_lambda(lambda t),
+        delta_lambda(s) = #{x : P(x) + lambda ||x|| = s} - q^(d-1).
+
+    Where A + lambda I is invertible, completing the square leaves
+    x^T (A + lambda I) x + kappa_lambda, kappa_lambda = c - b^T (A +
+    lambda I)^-1 b / 4, and with sigma = eta((-1)^floor(d/2) det(A +
+    lambda I)) the counts of Lidl-Niederreiter, *Finite Fields*, Thms
+    6.26-6.27 (those of ``sphere_sizes``, where A = I) give
+
+        d even: delta_lambda(s) = sigma q^(d/2-1) (q [s = kappa_lambda] - 1)
+        d odd:  delta_lambda(s) = sigma q^((d-1)/2) eta(s - kappa_lambda).
+
+    The sum over lambda != 0 is one bincount of t = kappa_lambda / lambda
+    for even d, O(q); for odd d, eta(lambda t - kappa) = eta(lambda)
+    eta(t - kappa / lambda) makes it the cyclic correlation of eta with one
+    length-q weight vector, q^2 int64 products read from a sliding window,
+    O(q) bytes.  det and b^T adj b of S + 2 lambda I = 2 (A + lambda I) are
+    polynomials in lambda (``_pencil_polys``), evaluated mod q by Horner.
+    At the at most d roots of det, sigma = 0 drops lambda from those sums,
+    and ``_complete_squares`` gives delta_lambda in Python from the rank r
+    and the determinant of its nonzero part the same way, times q^(d-r).
+
+    The terms are exact integers: in int64 while (d + 3) q^d < 2^63 bounds
+    every partial sum, else in Python ints.  A sum not divisible by q, or a
+    count outside 0..|S_t|, raises RoundingMismatch.
+    """
+    q, d = ctx.q, ctx.d
+    half = d // 2
+    eta_values, inv_table = ctx.eta_values, ctx.inv_table
+    lam = np.arange(q, dtype=np.int64)
+    det, adj = _horner(_pencil_polys(S, b, q), 2 * lam % q, q)  # det is 2^d det(A + lambda I)
+    sigma = eta_values[(-1) ** half * pow(2, -d, q) * det % q]
+    kappa = (c - adj * inv_table[2 * det % q]) % q
+    weights = sigma[1:] if d % 2 == 0 else sigma[1:] * eta_values[1:]
+    by_t = np.bincount(kappa[1:] * inv_table[1:] % q, weights, minlength=q).astype(np.int64)
+    if d % 2 == 0:
+        tail = q**half * by_t + q ** (half - 1) * (q * sigma[0] * (kappa[0] == 0) - sigma.sum())
+    else:
+        # sum_s by_t[s] eta(t - s) = sum_u by_t[-u] eta(t + u): rows t of the window over eta(t + u)
+        window = np.lib.stride_tricks.sliding_window_view(eta_values[np.arange(2 * q - 1) % q], q)
+        tail = q**half * (sigma[0] * eta_values[-kappa[0] % q] + window @ by_t[-lam % q])
+    dtype = np.int64 if (d + 3) * q**d < 2**63 else object
+    sizes = sphere_sizes(ctx)
+    total = sizes.astype(dtype) + tail
+    h = pow(2, -1, q)
+    for root in np.flatnonzero(det == 0).tolist():
+        M = [[(s * h + root * (i == j)) % q for j, s in enumerate(row)] for i, row in enumerate(S)]
+        form = _complete_squares(M, b, c, q)
+        if form is None:
+            continue
+        diagonal, shift = form
+        r = len(diagonal)
+        twisted_det = (-1) ** (r // 2) * math.prod(diagonal) % q  # as in sigma, over rank r
+        a = (root * lam - shift) % q
+        if r % 2 == 0:
+            delta = int(eta_values[twisted_det]) * q ** (d - r // 2 - 1) * (q * (a == 0) - 1)
+        else:
+            delta = q ** (d - (r + 1) // 2) * eta_values[twisted_det * a % q]
+        total += delta
+    counts = (total // q).astype(np.int64)
+    if (total % q).any() or not ((0 <= counts) & (counts <= sizes)).all():
+        raise RoundingMismatch(f"pencil counts at q={q}, d={d} are not counts of points")
+    return counts
+
+
 def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:
     """Build a variety from a name or a polynomial.
 
     Accepted names: ``"paraboloid"``, ``"plane"``, ``"sphere:<t>"``, or
-    ``"poly:<source>"``; a bare :data:`PolyExpr` is used directly.  Counts
-    come from the polynomial's variable blocks, so only each block is
-    enumerated; a block over ``GRID_BUDGET`` points, or q^d >= 2^63 (past
-    exact int64 counts), raises TooLarge.
+    ``"poly:<source>"``; a bare :data:`PolyExpr` is used directly.  P of
+    degree <= 2 is counted through the pencil (``_pencil_counts``), any
+    other P from its variable blocks (``_radius_counts``), so only each
+    block is enumerated; q^d >= 2^63 (past exact int64 counts), or, on the
+    block route, a block over ``GRID_BUDGET`` points, raises TooLarge.
     """
     ctx.check_int64_counts()
     if isinstance(spec, str):
@@ -691,7 +935,9 @@ def build_variety(ctx: FieldCtx, spec: Union[str, PolyExpr]) -> Variety:
             label, expr = f"poly({spec.strip()})", parse_poly(spec, ctx.d)
     else:
         label, expr = f"poly({pretty_print(spec)})", spec
-    v = Variety(ctx, label, expr, _radius_counts(ctx, expr))
+    quadric = _quadric(expr, ctx.d, ctx.q)
+    counts = _radius_counts(ctx, expr) if quadric is None else _pencil_counts(ctx, *quadric)
+    v = Variety(ctx, label, expr, counts)
     if v.cardinality == 0:
         warnings.warn(f"variety {label} is empty", EmptyVarietyWarning, stacklevel=2)
     return v

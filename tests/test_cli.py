@@ -581,9 +581,10 @@ def test_block_over_budget_exits_2(capsys):
 
 
 def test_refused_over_the_byte_budget_exits_2(capsys):
-    # (20011, 3) has moduli, but its arrays would take about 13 GB; no
-    # block is enumerated and nothing transformed
-    argv = ["variety", "info", "--q", "20011", "--d", "3", "--variety", "paraboloid"]
+    # (20011, 3) has moduli, but the transform route's arrays would take
+    # about 13 GB; no block is enumerated and nothing transformed.  A cubic
+    # takes that route, where a quadric would be counted through the pencil
+    argv = ["variety", "info", "--q", "20011", "--d", "3", "--variety", "poly:x1^2+x2^2-x3^3"]
     with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
         with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=AssertionError):
             assert main(argv) == 2

@@ -40,6 +40,15 @@ def test_inv_table_exhaustive(q):
         assert (a * inv(ctx, a)) % q == 1
 
 
+def test_inv_table_at_every_prime_to_1009():
+    # the table comes from the powers of a primitive root, not one pow per element
+    for q in filter(is_odd_prime, range(3, 1010)):
+        table = FieldCtx(q, 2).inv_table
+        a = np.arange(1, q)
+        assert table[0] == 0
+        assert (a * table[1:] % q == 1).all(), q
+
+
 def test_eta_examples():
     ctx = FieldCtx(3, 2)
     assert eta(ctx, 1) == 1

@@ -495,3 +495,28 @@ def test_kernel_rows_hold_no_q_by_q_table():
         tracemalloc.stop()
     assert row.shape == (ctx.q,)
     assert peak < 1e6
+
+
+def test_kernel_table_holds_one_table_at_peak():
+    # a q x q int64 gather index beside the q x q float64 table doubled the
+    # peak: 16.4 MB for the 8.1 MB table at (1009, 3)
+    import tracemalloc
+
+    ctx = FieldCtx(1009, 3)
+    tracemalloc.start()
+    try:
+        K = sphere_ft_kernel(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.nbytes <= peak < K.nbytes + 2**21
+
+
+@pytest.mark.parametrize("q,d", [(401, 3), (401, 4), (1009, 3)])
+def test_kernel_gathered_in_blocks_matches_its_rows(q, d):
+    # the table spans several blocks of rows; each single row is one block
+    ctx = FieldCtx(q, d)
+    field = np.arange(q)
+    K = sphere_ft_kernel(ctx)
+    assert np.array_equal(K, np.stack([_kernel_at(ctx, j, field) for j in range(q)]))
+    assert np.array_equal(K.T, _kernel_at(ctx, field, field[:, None]))

@@ -37,10 +37,14 @@ from ffharm.varieties import (
     _block_spectrum,
     _block_table,
     _blocks,
+    _complete_squares,
     _distinct_blocks,
     _moduli,
+    _pencil_counts,
+    _quadric,
     _radius_counts,
     _route_bytes,
+    paraboloid_expr,
 )
 
 
@@ -150,7 +154,7 @@ def test_broadcast_build_matches_point_grid(case):
 
 
 def test_build_budget_guard():
-    # counting enumerates one variable at a time, so only the oracle is over budget
+    # counting enumerates no grid, so only the oracle is over budget
     v = build_variety(FieldCtx(101, 5), "paraboloid")
     assert v.cardinality == 101**4
     with pytest.raises(TooLarge):
@@ -239,12 +243,14 @@ def test_transform_route_matches_int64_route_at_scale(q, d, src):
 @pytest.mark.parametrize("q,d", [(31, 10), (211, 6), (1009, 5), (1493, 4)])
 def test_paraboloid_counts_match_closed_form(q, d):
     # on the paraboloid ||x|| = x_d^2 + x_d, and x_1..x_{d-1} lie on the
-    # (d-1)-dimensional sphere of radius x_d; each case takes two moduli
-    v = build_variety(FieldCtx(q, d), "paraboloid")
+    # (d-1)-dimensional sphere of radius x_d; the pencil route builds it,
+    # and the transform route takes two moduli on each case
+    ctx = FieldCtx(q, d)
     y = np.arange(q)
     want = np.zeros(q, dtype=np.int64)
     np.add.at(want, (y * y + y) % q, sphere_sizes(FieldCtx(q, d - 1)))
-    assert np.array_equal(v.radius_counts, want)
+    assert np.array_equal(build_variety(ctx, "paraboloid").radius_counts, want)
+    assert np.array_equal(_radius_counts(ctx, paraboloid_expr(d)), want)
 
 
 def _assert_moduli(q, bound):
@@ -290,7 +296,7 @@ def test_broken_marginal_raises():
 
     with mock.patch.object(ffharm.varieties, "_crt", side_effect=off_by_one):
         with pytest.raises(RoundingMismatch, match="does not sum to the sphere sizes"):
-            build_variety(FieldCtx(101, 3), "paraboloid")
+            _radius_counts(FieldCtx(101, 3), paraboloid_expr(3))
 
 
 @pytest.mark.parametrize("q,d", [(101, 3), (401, 4)])
@@ -307,7 +313,7 @@ def test_broken_spectrum_raises(q, d):
 
     with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=off_by_one):
         with pytest.raises(RoundingMismatch, match="past their bound"):
-            build_variety(FieldCtx(q, d), "paraboloid")
+            _radius_counts(FieldCtx(q, d), paraboloid_expr(d))
 
 
 def test_too_few_moduli_raises():
@@ -316,7 +322,7 @@ def test_too_few_moduli_raises():
     assert len(real_moduli(1009, int(sphere_sizes(FieldCtx(1009, 4)).max()))) == 2
     with mock.patch.object(ffharm.varieties, "_moduli", side_effect=lambda *args: real_moduli(*args)[:-1]):
         with pytest.raises(RoundingMismatch):
-            build_variety(FieldCtx(1009, 4), "paraboloid")
+            _radius_counts(FieldCtx(1009, 4), paraboloid_expr(4))
 
 
 # q at which the d = 4 counts took each of the routes that the exact DFT
@@ -343,24 +349,26 @@ def test_one_transform_per_distinct_block(d, name, transforms, route):
     # variables is enumerated once; the oracle is too slow past q = 211
     q = _EARLIER_ROUTE_Q[route]
     ctx = FieldCtx(q, d)
+    expr = paraboloid_expr(d) if name == "paraboloid" else parse_poly(name[5:], d)
     moduli = _moduli(q, int(sphere_sizes(ctx).max()))
     assert len(moduli) == (2 if d == 4 and q > 211 else 1)
     with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=_block_spectrum) as forward:
         with mock.patch.object(ffharm.varieties, "_block_table", side_effect=_block_table) as tables:
-            v = build_variety(ctx, name)
+            counts = _radius_counts(ctx, expr)
     assert forward.call_count == transforms * len(moduli)
-    assert tables.call_count == sum(n > 1 for n, _ in _distinct_blocks(_blocks(v.expr, d)[0]))
+    assert tables.call_count == sum(n > 1 for n, _ in _distinct_blocks(_blocks(expr, d)[0]))
     if q == 211:
-        assert np.array_equal(v.radius_counts, _int64_counts(ctx, v.expr))
+        assert np.array_equal(counts, _int64_counts(ctx, expr))
 
 
 def test_byte_budget_refuses_before_any_transform():
     # (20011, 3) has moduli, but its arrays would take about 13 GB; no
-    # block is enumerated and nothing transformed
+    # block is enumerated and nothing transformed (build_variety counts the
+    # paraboloid through the pencil)
     with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
         with mock.patch.object(ffharm.varieties, "_block_spectrum", side_effect=AssertionError):
             with pytest.raises(TooLarge, match=f"over the budget of {8 * GRID_BUDGET}"):
-                build_variety(FieldCtx(20011, 3), "paraboloid")
+                _radius_counts(FieldCtx(20011, 3), paraboloid_expr(3))
 
 
 def test_byte_budget_counts_the_block_enumeration():
@@ -377,7 +385,7 @@ def test_byte_budget_counts_the_block_enumeration():
 @pytest.mark.parametrize("q,d", [(2003, 3), (1009, 4), (31, 10)])
 def test_byte_budget_admits(q, d):
     assert _route_bytes(q, 1, 0) <= 8 * GRID_BUDGET
-    assert build_variety(FieldCtx(q, d), "paraboloid").cardinality == q ** (d - 1)
+    assert _radius_counts(FieldCtx(q, d), paraboloid_expr(d)).sum() == q ** (d - 1)
 
 
 @pytest.mark.parametrize("src", ["x1^2+x2^2-x3", "x1^2+x2^2+x3^2-x4", "x1^3+x2^3-1", "x1^2+x2^2-x3*x4"])
@@ -427,7 +435,7 @@ def test_byte_budget_refuses_the_null_cone_past_4463():
     assert _route_bytes(4463, 2, 1) <= 8 * GRID_BUDGET < _route_bytes(4481, 2, 1)
     with mock.patch.object(ffharm.varieties, "_block_table", side_effect=AssertionError):
         with pytest.raises(TooLarge, match=f"over the budget of {8 * GRID_BUDGET}"):
-            build_variety(FieldCtx(4481, 4), "poly:x1^2+x2^2-x3*x4")
+            _radius_counts(FieldCtx(4481, 4), parse_poly("x1^2+x2^2-x3*x4", 4))
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "poly:x1^2+x2^2-x3*x4"])
@@ -514,3 +522,212 @@ def test_every_point_satisfies_defining_polynomial(name):
     on[v.flat] = True
     for pt, member in zip(ctx.grid_points(), on):
         assert (eval_poly(v.expr, pt, ctx.q) == 0) == member
+
+
+# ---------------------------------------------------------------------------
+# Quadrics through the pencil P + lambda ||x||
+
+
+def _flat_counts(v):
+    """|V cap S_t| from the points of V on the whole grid: the oracle of both routes."""
+    return np.bincount(v.ctx.grid_norms()[v.flat], minlength=v.ctx.q)
+
+
+def _pencil_build(ctx, spec):
+    """build_variety with the transform route forbidden, so a quadric takes the pencil."""
+    with mock.patch.object(ffharm.varieties, "_radius_counts", side_effect=AssertionError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyVarietyWarning)
+            return build_variety(ctx, spec)
+
+
+@st.composite
+def _quadric_on_grid(draw):
+    """Random symmetric A, b and c as a polynomial, at q <= 13, d <= 5 and q^d <= 2e5."""
+    q = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    d = draw(st.integers(min_value=2, max_value=max(k for k in range(2, 6) if q**k <= 2 * 10**5)))
+    coefficient = st.integers(min_value=0, max_value=q - 1)
+    expr = Lit(draw(coefficient))
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            expr = Add(expr, Mul(Lit(draw(coefficient)), Mul(Var(i), Var(j))))
+        expr = Add(expr, Mul(Lit(draw(coefficient)), Var(i)))
+    return q, d, expr
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadric_on_grid())
+@example((3, 2, Lit(0)))
+@example((13, 4, parse_poly("x1*x2+x2*x3+x3*x4", 4)))
+@example((5, 5, parse_poly("x1^2+x2^2+x3^2+x4^2+x5^2", 5)))
+def test_pencil_route_matches_enumeration(case):
+    q, d, expr = case
+    v = _pencil_build(FieldCtx(q, d), expr)
+    assert np.array_equal(v.radius_counts, _flat_counts(v))
+
+
+def _det(M):
+    """The determinant of a small integer matrix by cofactor expansion."""
+    if not M:
+        return 1
+    return sum((-1) ** k * M[0][k] * _det([row[:k] + row[k + 1 :] for row in M[1:]]) for k in range(len(M)))
+
+
+# quadrics whose pencil A + lambda I drops rank at several lambda, each
+# minus an eigenvalue of A over F_q: to rank 0 (A = I at lambda = -1), with
+# the linear part on the kernel (every value taken q^(d-1) times) or off it,
+# and with only cross terms left to diagonalize
+_ROOT_CASES = [
+    (7, 3, "x1^2+x2^2+2*x3^2"),
+    (7, 3, "x1^2+x2^2+2*x3^2+x3-1"),
+    (7, 3, "x1^2+x2^2+2*x3^2+x1"),
+    (5, 4, "x1*x2+x2*x3+x3*x4"),
+    (7, 4, "x1^2+x2^2-x3*x4+x4"),
+    (3, 4, "x1^2+x2^2+x3^2+x4^2"),
+    (5, 3, "x1^2+x2^2+x3^2-1"),
+    (5, 3, "x1*x2+x3^2+x1-2"),
+    (11, 4, "x1^2-x2^2+x3*x4+3*x4+2"),
+    (13, 3, "x1*x2+x2*x3+x1*x3"),
+    # singular at lambda = 0 with no square left: x1 + x2 replaces x1
+    (7, 3, "x1*x2+x1"),
+    (5, 3, "x1*x2+x2*x3+x1-x3+2"),
+]
+
+
+@pytest.mark.parametrize("q,d,src", _ROOT_CASES)
+def test_pencil_at_every_minus_eigenvalue(q, d, src):
+    ctx = FieldCtx(q, d)
+    S, b, c = _quadric(parse_poly(src, d), d, q)
+    roots = [lam for lam in range(q) if _det([[s + 2 * lam * (i == j) for j, s in enumerate(row)] for i, row in enumerate(S)]) % q == 0]
+    assert roots
+    with mock.patch.object(ffharm.varieties, "_complete_squares", side_effect=_complete_squares) as squares:
+        v = _pencil_build(ctx, "poly:" + src)
+    # one diagonalization per lambda with det(A + lambda I) = 0, at A + lambda I itself
+    h = pow(2, -1, q)
+    assert [call.args[0] for call in squares.call_args_list] == [
+        [[(s * h + lam * (i == j)) % q for j, s in enumerate(row)] for i, row in enumerate(S)] for lam in roots
+    ]
+    assert np.array_equal(v.radius_counts, _flat_counts(v))
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize(
+    "name", ["paraboloid", "plane", "sphere:0", "sphere:1", "poly:x1^2+x2^2-x3*x4", "poly:x1*x2+x2*x3+x3*x4-1"]
+)
+def test_pencil_route_at_q_at_most_d(name, d):
+    # Faddeev-LeVerrier divides by k = 1..d over Z, never mod q
+    v = _pencil_build(FieldCtx(3, d), name)
+    assert np.array_equal(v.radius_counts, _flat_counts(v))
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 3), (7, 4), (3, 5)])
+@pytest.mark.parametrize("src", ["0", "1", "x1-x1", "2^40", "(x1+x2)^0-1"])
+def test_pencil_route_on_constants(q, d, src):
+    ctx = FieldCtx(q, d)
+    v = _pencil_build(ctx, "poly:" + src)
+    want = sphere_sizes(ctx) if eval_poly(v.expr, (0,) * d, q) == 0 else np.zeros(q, dtype=np.int64)
+    assert np.array_equal(v.radius_counts, want)
+    assert np.array_equal(v.radius_counts, _flat_counts(v))
+
+
+@pytest.mark.parametrize("q,d", [(5, 3), (7, 3), (7, 4), (3, 5)])
+@pytest.mark.parametrize(
+    "src",
+    ["x1^2+x2-x1^2", "x1*x2-x2*x1+x3-1", "(x1+x2)^2-x1^2-2*x1*x2-x2^2+1", "21*x1^2+x2+x3", "(2*x1-x2)*3-x1", "(x2+1)^2-x2^2"],
+)
+def test_pencil_route_on_quadrics_that_cancel_to_degree_one(q, d, src):
+    v = _pencil_build(FieldCtx(q, d), "poly:" + src)
+    assert np.array_equal(v.radius_counts, _flat_counts(v))
+
+
+def test_route_follows_the_degree():
+    # a product adds degrees and a power multiplies them; degree 3 and up
+    # takes the transform route even where terms cancel
+    assert _quadric(parse_poly("x1^2+x2^2-x3", 3), 3, 7) is not None
+    assert _quadric(parse_poly("(x1+x2)^2*1-x3^0", 3), 3, 7) is not None
+    assert _quadric(parse_poly("x1^3+x2^3-1", 3), 3, 7) is None
+    assert _quadric(parse_poly("x1*x2*x3-x1*x2*x3", 3), 3, 7) is None
+    assert _quadric(parse_poly("x1*(x2+1)^2", 3), 3, 7) is None
+    ctx = FieldCtx(7, 3)
+    with mock.patch.object(ffharm.varieties, "_pencil_counts", side_effect=AssertionError):
+        v = build_variety(ctx, "poly:x1^3+x2^3-1")
+    assert np.array_equal(v.radius_counts, _flat_counts(v))
+
+
+# the quadrics of test_restriction's _VARIETIES, the null cone, and chained
+# quadrics the transform route admits: x1*x2+x2*x3-1 is one block of q^3
+# points, past the byte budget from q = 293
+_PENCIL_AT_SCALE = [
+    (q, d, name)
+    for q in (101, 211, 401)
+    for d, name in [
+        (2, "sphere:0"),
+        (2, "plane"),
+        (2, "sphere:1"),
+        (3, "paraboloid"),
+        (3, "sphere:2"),
+        (3, "poly:x1*x2-1"),
+        (4, "plane"),
+        (4, "poly:x1^2+x2^2-x3*x4"),
+        (4, "poly:x1*x2+x3*x4-1"),
+        (4, "poly:x1^2-x2^2+x3*x4+x1+x3"),
+    ]
+] + [(q, 3, "poly:x1*x2+x2*x3-1") for q in (101, 211)]
+
+
+@pytest.mark.parametrize("q,d,name", _PENCIL_AT_SCALE)
+def test_pencil_route_matches_transform_route(q, d, name):
+    ctx = FieldCtx(q, d)
+    v = _pencil_build(ctx, name)
+    assert np.array_equal(v.radius_counts, _radius_counts(ctx, v.expr))
+
+
+def test_pencil_route_in_python_ints_past_int64_partial_sums():
+    # (d + 3) q^d >= 2^63 at (3, 39): the terms are summed as Python ints
+    ctx = FieldCtx(3, 39)
+    assert (39 + 3) * 3**39 >= 2**63 > 3**39
+    v = _pencil_build(ctx, "paraboloid")
+    assert np.array_equal(v.radius_counts, _radius_counts(ctx, v.expr))
+    assert v.cardinality == 3**38
+
+
+def test_pencil_route_holds_o_of_q_bytes_at_odd_d():
+    # the odd-d correlation reads its q x q circulant through a sliding
+    # window; one q x q int64 table would take 128 MB at q = 4001
+    import tracemalloc
+
+    q = 4001
+    ctx = FieldCtx(q, 3)
+    tracemalloc.start()
+    try:
+        v = _pencil_build(ctx, "paraboloid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.cardinality == q * q
+    assert peak < 256 * q
+
+
+def test_pencil_chained_quadric_past_the_grid_budget():
+    # one block of all four variables: 1009^4 points, which the transform
+    # route refuses from q = 101
+    ctx = FieldCtx(1009, 4)
+    with pytest.raises(TooLarge):
+        _radius_counts(ctx, parse_poly("x1*x2+x2*x3+x3*x4", 4))
+    v = _pencil_build(ctx, "poly:x1*x2+x2*x3+x3*x4")
+    assert v.radius_counts.sum() == v.cardinality
+    assert (v.radius_counts <= sphere_sizes(ctx)).all()
+
+
+def test_pencil_remainder_raises():
+    # a count off by one leaves a sum not divisible by q
+    real = ffharm.varieties.sphere_sizes
+
+    def off_by_one(ctx):
+        out = real(ctx).copy()
+        out[1] += 1
+        return out
+
+    with mock.patch.object(ffharm.varieties, "sphere_sizes", side_effect=off_by_one):
+        with pytest.raises(RoundingMismatch, match="not counts of points"):
+            _pencil_counts(FieldCtx(101, 3), *_quadric(paraboloid_expr(3), 3, 101))
